@@ -38,7 +38,7 @@ from wassalign.alignment import (
     compute_J_psi,
     extract_theta,
     gap_certificate,
-    report_from_dual,
+    gap_certificates,
     solve_dual,
     solve_relaxed_primal,
 )

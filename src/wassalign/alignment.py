@@ -24,7 +24,12 @@ family entry the LP reduces to plain Kantorovich duality.
 
 At an optimum, every family entry carrying channel mass has its (xi, psi)
 columns equal to a pair of Kantorovich potentials for that entry, which is
-how the optimizer set is read off by complementary slackness.
+how the optimizer set is read off by complementary slackness.  Conversely,
+the per-entry Kantorovich potentials, shifted to a common mean, assemble
+into an optimal dual point whose objective equals the brute-force value, so
+weak duality certifies it.  `align` is built on that assembly: one exact OT
+solve per family entry, one assembled dual, one argmin rule; the joint LP
+(`solve_dual(method="lp")`) and the relaxed primal are the cross-checks.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from wassalign.lp import LpProblem, LpSolverError, LpStatus, solve_lp
-from wassalign.measures import CostSpec, CostTensor, DiscreteMeasure, build_cost_tensor
+from wassalign.measures import CostSpec, CostTensor, DiscreteMeasure, pairwise_cost
 from wassalign.ot import (
     OtResult,
     PotentialPair,
@@ -62,16 +67,15 @@ __all__ = [
     "solve_relaxed_primal",
     "compute_J_psi",
     "gap_certificate",
+    "gap_certificates",
     "align",
-    "report_from_dual",
 ]
 
-# largest N*M*l posed as an explicit LP; beyond it the certificate path runs
-LP_CELL_LIMIT = 120_000
-# largest N*M*l for which the dense cost tensor is materialized at all
-TENSOR_CELL_LIMIT = 2_000_000
 ARGMIN_TOL = 1e-7
 WITNESS_TOL = 1e-6
+# cost-matrix rows formed at once when align transforms potentials, so that
+# the quantile route never holds a full N x M cost matrix
+ROW_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -176,15 +180,26 @@ def _psibar_folded(psi: np.ndarray, folded: np.ndarray) -> np.ndarray:
     return (folded - psi[None, :, :]).min(axis=1)
 
 
-def _canonical_potentials(raw_psi: np.ndarray, C: np.ndarray) -> PotentialPair:
+def _cbar_rows(psi: np.ndarray, blocks) -> np.ndarray:
+    """cbar_transform of psi over a cost matrix given as consecutive row blocks."""
+    return np.concatenate([cbar_transform(psi, C) for C in blocks])
+
+
+def _canonical_potentials(raw_psi: np.ndarray, rows) -> PotentialPair:
     """Replace an optimal psi by its cbar-concave representative.
 
     psi* = (psi^cbar)^c satisfies psi* >= psi and (psi*)^cbar = psi^cbar, so
-    the pair ((psi*)^cbar, psi*) is feasible with the same optimal objective.
+    the pair (psi^cbar, psi*) is feasible with the same optimal objective.
+    rows() yields the cost matrix as consecutive row blocks; it is called
+    once per transform.
     """
-    phi = cbar_transform(raw_psi, C)
-    psi_star = c_transform(phi, C)
-    return PotentialPair(cbar_transform(psi_star, C), psi_star)
+    phi = _cbar_rows(raw_psi, rows())
+    psi_star = np.full(raw_psi.shape, np.inf)
+    start = 0
+    for C in rows():
+        np.minimum(psi_star, c_transform(phi[start : start + C.shape[0]], C), out=psi_star)
+        start += C.shape[0]
+    return PotentialPair(phi, psi_star)
 
 
 # ---------------------------------------------------------------------------
@@ -216,23 +231,21 @@ def solve_dual(
     mu: DiscreteMeasure,
     nu: DiscreteMeasure,
     ct: CostTensor,
-    method: str = "auto",
+    method: str = "lp",
 ) -> AlignmentDual:
     """Solve the alignment dual exactly.
 
-    method: "lp" poses the (xi, psi) LP and runs the simplex; "certificate"
-    assembles an optimal dual point from the per-entry OT potentials, exact
-    by a weak-duality certificate; "auto" picks "lp" up to LP_CELL_LIMIT
-    inequality rows.
+    method: "lp" poses the joint (xi, psi) LP and runs the simplex, the
+    independent cross-check of the assembled dual; "certificate" assembles
+    an optimal dual point from the per-entry OT potentials, exact by a
+    weak-duality certificate, as `align` does.
     """
-    N, M, l = ct.shape
-    if method == "auto":
-        method = "lp" if N * M * l <= LP_CELL_LIMIT else "certificate"
     if method == "lp":
         return _solve_dual_lp(mu.weights, nu.weights, ct)
     if method == "certificate":
         per_theta, solves = per_entry_ot(mu, nu, ct)
-        return _assemble_dual(per_theta, solves, ct, mu.weights, nu.weights)
+        pots = [res.potentials for res in solves]
+        return _assemble_dual(per_theta, pots, ct.penalties, nu.weights, lambda k: [ct.slice(k)])
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -276,7 +289,7 @@ def _solve_dual_lp(p: np.ndarray, q: np.ndarray, ct: CostTensor) -> AlignmentDua
     return AlignmentDual(xi, psi, float(sol.objective))
 
 
-def _assemble_dual(per_theta, solves, ct: CostTensor, p, q) -> AlignmentDual:
+def _assemble_dual(per_theta, pots, penalties, q, cost_rows) -> AlignmentDual:
     """Exact optimal dual from per-entry Kantorovich potentials.
 
     For each entry, shift the potentials so that all psi columns share the
@@ -284,24 +297,22 @@ def _assemble_dual(per_theta, solves, ct: CostTensor, p, q) -> AlignmentDual:
     alpha_k = per_theta[k] - value into the xi side.  The pair stays feasible
     (alpha_k >= 0 only lowers xi) and its objective telescopes to the
     brute-force value, which certifies optimality by weak duality.
+    cost_rows(k) yields entry k's cost matrix as consecutive row blocks; only
+    the optimizer's potentials, made canonical, need it.
     """
-    N, M, l = ct.shape
     value = float(per_theta.min())
     k0 = int(np.argmin(per_theta))
+    pots = list(pots)
+    pots[k0] = _canonical_potentials(pots[k0].psi, lambda: cost_rows(k0))
+    N, M, l = pots[0].phi.size, pots[0].psi.size, len(pots)
     xi = np.empty((N, l))
     psi = np.empty((M, l))
-    pots = []
-    for k in range(l):
-        if k == k0:
-            pots.append(_canonical_potentials(solves[k].potentials.psi, ct.slice(k)))
-        else:
-            pots.append(solves[k].potentials)
     T = float(pots[k0].psi @ q)
     for k in range(l):
         alpha = per_theta[k] - value
         t_k = T - float(pots[k].psi @ q)
         psi[:, k] = pots[k].psi + t_k
-        xi[:, k] = pots[k].phi + ct.penalties[k] - alpha - t_k
+        xi[:, k] = pots[k].phi + penalties[k] - alpha - t_k
     return AlignmentDual(xi, psi, value)
 
 
@@ -362,12 +373,7 @@ def extract_theta(dual: AlignmentDual, ct: CostTensor, p: np.ndarray) -> ThetaEx
     optimum.  Also verifies the slack witness: some argmin k must satisfy
     xi_ik = min_j (c_ijk + R_k - psi_jk) for every i.
     """
-    folded = ct.folded()
-    psibar = _psibar_folded(dual.psi, folded)
-    return _extract_from_psibar(dual, psibar, p)
-
-
-def _extract_from_psibar(dual: AlignmentDual, psibar: np.ndarray, p: np.ndarray) -> ThetaExtraction:
+    psibar = _psibar_folded(dual.psi, ct.folded())
     i_curve = p @ psibar
     i_min = float(i_curve.min())
     k_star = [int(k) for k in np.flatnonzero(i_curve <= i_min + ARGMIN_TOL)]
@@ -427,9 +433,8 @@ def gap_certificate(
         raise ValueError(f"k0={k0} out of range for l={l}")
     if ot_result is None:
         ot_result = wasserstein(mu.weights, nu.weights, ct.slice(k0))
-    pot = _canonical_potentials(ot_result.potentials.psi, ct.slice(k0))
-    folded = ct.folded()
-    psibar = _psibar_folded(pot.psi, folded)
+    pot = _canonical_potentials(ot_result.potentials.psi, lambda: [ct.slice(k0)])
+    psibar = _psibar_folded(pot.psi, ct.folded())
     i_curve = mu.weights @ psibar
     i_min = float(i_curve.min())
     delta = float(ot_result.value + ct.penalties[k0] - dual_value)
@@ -438,9 +443,53 @@ def gap_certificate(
     return GapCertificate(delta, g, rhs)
 
 
+def gap_certificates(
+    report: AlignmentReport, mu: DiscreteMeasure, nu: DiscreteMeasure, ct: CostTensor
+) -> list:
+    """gap_certificate at every family entry, from the report's own solves.
+
+    Column k of report.dual is a Kantorovich pair of entry k shifted by a
+    constant, which leaves every certificate unchanged, so no entry is
+    solved again.
+    """
+    no_plan = TransportPlan(np.zeros((0, 0)))
+    certs = []
+    for k in range(ct.shape[2]):
+        ot_value = report.per_theta[k] - ct.penalties[k]
+        phi = report.dual.xi[:, k] - ct.penalties[k] + report.gap_curve[k]
+        res = OtResult(ot_value, no_plan, PotentialPair(phi, report.dual.psi[:, k]))
+        certs.append(gap_certificate(k, mu, nu, ct, report.value, ot_result=res))
+    return certs
+
+
 # ---------------------------------------------------------------------------
 # full report
 # ---------------------------------------------------------------------------
+
+
+def _entry_solver(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
+    """Exact OT for one family entry, and the cost matrix that solver sees.
+
+    Both functions take the image y = T_k(x) of (rows of) mu's support.  A
+    target on the line under a power of the distance takes the quantile
+    solver, which forms no cost matrix; any other instance poses the
+    transport LP.  solve(y, with_plan) returns an OtResult; the transport LP
+    returns its plan either way.
+    """
+    p, q = mu.weights, nu.weights
+    if nu.dim == 1 and cost.kind in ("sq-euclidean", "power"):
+        z = nu.points[:, 0]
+        power = 2.0 if cost.kind == "sq-euclidean" else cost.p
+
+        def solve(y, with_plan):
+            return wasserstein_1d(y[:, 0], p, z, q, power=power, return_plan=with_plan)
+
+        return solve, lambda y: np.abs(y - z[None, :]) ** power
+
+    def cost_of(y):
+        return pairwise_cost(y, nu.points, cost)
+
+    return lambda y, with_plan: wasserstein(p, q, cost_of(y)), cost_of
 
 
 def align(
@@ -448,150 +497,56 @@ def align(
     nu: DiscreteMeasure,
     fam,
     cost: CostSpec,
-    method: str = "auto",
 ) -> AlignmentReport:
-    """End-to-end alignment: dual solve, extraction, plan, and gap curve.
+    """End-to-end alignment: per-entry OT, the assembled dual, and the report.
 
-    Instances whose dense cost tensor would exceed TENSOR_CELL_LIMIT cells are
-    routed through the projected path, available when the target space is the
-    line and the cost is a power of the distance.
+    Every family entry is solved once and exactly: by the quantile solver
+    when the target space is the line and the cost is sq-euclidean or a
+    power, by the transport LP otherwise.  The per-entry potentials are
+    assembled into an optimal dual (exact by weak duality); the optimizer is
+    the smallest index whose objective lies within ARGMIN_TOL of the
+    minimum, and the complementary-slackness witness is checked there.  Cost
+    matrices are formed one entry at a time, so memory grows with N*M, not
+    N*M*l.  solve_dual(method="lp") on build_cost_tensor of the same
+    instance is the independent cross-check.
     """
-    if mu.size * nu.size * len(fam) > TENSOR_CELL_LIMIT:
-        return _align_projected_1d(mu, nu, fam, cost)
-    ct = build_cost_tensor(mu, nu, fam, cost)
-    per_theta, solves = per_entry_ot(mu, nu, ct)
-    value = float(per_theta.min())
-    bf = BruteForceResult(
-        [int(k) for k in np.flatnonzero(per_theta <= value + ARGMIN_TOL)], value, per_theta
-    )
-    resolved = method
-    if resolved == "auto":
-        N, M, l = ct.shape
-        resolved = "lp" if N * M * l <= LP_CELL_LIMIT else "certificate"
-    if resolved == "lp":
-        dual = _solve_dual_lp(mu.weights, nu.weights, ct)
-    elif resolved == "certificate":
-        dual = _assemble_dual(per_theta, solves, ct, mu.weights, nu.weights)
-    else:
-        raise ValueError(f"unknown method {method!r}")
-    return report_from_dual(mu, nu, ct, dual, labels=fam.labels, bf=bf)
-
-
-def report_from_dual(
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    ct: CostTensor,
-    dual: AlignmentDual,
-    labels=None,
-    bf: BruteForceResult | None = None,
-) -> AlignmentReport:
-    """Assemble the standard report around an already-solved dual.
-
-    The canonical optimizer is the smallest index in the intersection of the
-    dual's I-curve argmin with the per-entry objective argmin: the I-curve of
-    an optimal dual may carry spurious ties at entries whose xi rows saturate
-    without carrying channel mass, while the intersection is provably
-    nonempty and consists of true optimizers.
-    """
-    extraction = extract_theta(dual, ct, mu.weights)
-    if bf is None:
-        bf = brute_force(mu, nu, ct)
-    both = [k for k in extraction.k_star if k in set(bf.k_star)]
-    k_star = both[0] if both else bf.k_star[0]
-    ot_star = wasserstein(mu.weights, nu.weights, ct.slice(k_star))
-    gap_curve = bf.per_theta - dual.value
-    label = labels[k_star] if labels is not None else str(k_star)
-    return AlignmentReport(
-        theta_star=k_star,
-        theta_star_label=label,
-        k_star=extraction.k_star,
-        value=dual.value,
-        i_curve=extraction.i_curve,
-        gap_curve=gap_curve,
-        per_theta=bf.per_theta,
-        plan=ot_star.plan,
-        potentials=ot_star.potentials,
-        dual=dual,
-    )
-
-
-def _align_projected_1d(
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    fam,
-    cost: CostSpec,
-) -> AlignmentReport:
-    """Large-instance path: 1-d target, cost |y - z|^p, quantile OT per entry."""
-    if nu.dim != 1:
-        raise ValueError(
-            "instance too large for the dense tensor path and the target space "
-            "is not one-dimensional"
-        )
-    if cost.kind == "sq-euclidean":
-        power = 2.0
-    elif cost.kind == "power":
-        power = cost.p
-    else:
-        raise ValueError("projected path requires a distance-power cost")
-
-    p, q = mu.weights, nu.weights
-    z = nu.points[:, 0]
-    N, l = mu.size, len(fam)
+    if fam.source_dim != mu.dim:
+        raise ValueError(f"family maps from R^{fam.source_dim}, mu lives in R^{mu.dim}")
+    if fam.target_dim != nu.dim:
+        raise ValueError(f"family maps into R^{fam.target_dim}, nu lives in R^{nu.dim}")
     penalties = fam.penalties
-    ys = [entry.apply(mu.points)[:, 0] for entry in fam]
+    solve, cost_of = _entry_solver(mu, nu, cost)
+    solves = [solve(entry.apply(mu.points), False) for entry in fam]
+    per_theta = np.array([res.value for res in solves]) + penalties
 
-    per_theta = np.empty(l)
-    solves = []
-    for k in range(l):
-        res = wasserstein_1d(ys[k], p, z, q, power=power, return_plan=False)
-        solves.append(res)
-        per_theta[k] = res.value + penalties[k]
-    value = float(per_theta.min())
-    k0 = int(np.argmin(per_theta))
+    def cost_rows(k):
+        for start in range(0, mu.size, ROW_BLOCK):
+            yield cost_of(fam[k].apply(mu.points[start : start + ROW_BLOCK]))
 
-    # canonicalize the optimizer's potential (used for the report and witness)
-    ot0 = wasserstein_1d(ys[k0], p, z, q, power=power, return_plan=True)
-    C0 = np.abs(ys[k0][:, None] - z[None, :]) ** power
-    pot0 = _canonical_potentials(ot0.potentials.psi, C0)
-
-    xi = np.empty((N, l))
-    psi = np.empty((z.size, l))
-    T = float(pot0.psi @ q)
-    for k in range(l):
-        pk = pot0 if k == k0 else solves[k].potentials
-        alpha = per_theta[k] - value
-        t_k = T - float(pk.psi @ q)
-        psi[:, k] = pk.psi + t_k
-        xi[:, k] = pk.phi + penalties[k] - alpha - t_k
-    dual = AlignmentDual(xi, psi, value)
-
-    # i_curve equals the per-entry objectives shifted by the common psi-mean
-    i_curve = per_theta - T
-    k_star = [int(k) for k in np.flatnonzero(i_curve <= i_curve.min() + ARGMIN_TOL)]
-    psibar0 = _cbar_chunked(ys[k0], z, psi[:, k0], power) + penalties[k0]
-    witness_gap = float(np.max(np.abs(xi[:, k0] - psibar0)))
-    witness_k = k0 if witness_gap <= WITNESS_TOL else None
-    if witness_k is None:
-        logger.warning("projected path: witness deviation %.3e at the optimizer", witness_gap)
-    extraction = ThetaExtraction(k_star, i_curve, witness_k, witness_gap)
-
+    dual = _assemble_dual(
+        per_theta, [res.potentials for res in solves], penalties, nu.weights, cost_rows
+    )
+    k_star = [int(k) for k in np.flatnonzero(per_theta <= dual.value + ARGMIN_TOL)]
+    k = k_star[0]
+    psibar = _cbar_rows(dual.psi[:, k], cost_rows(k)) + penalties[k]
+    witness_gap = float(np.max(np.abs(dual.xi[:, k] - psibar)))
+    if witness_gap > WITNESS_TOL:
+        logger.warning(
+            "certificate warning: the optimizer's xi column is %.3e from its "
+            "cbar-transform row",
+            witness_gap,
+        )
+    # the quantile solver leaves plans out of the loop; the optimizer's is formed here
+    star = solves[k] if solves[k].plan.matrix.size else solve(fam[k].apply(mu.points), True)
     return AlignmentReport(
-        theta_star=extraction.k_star[0],
-        theta_star_label=fam.labels[extraction.k_star[0]],
-        k_star=extraction.k_star,
-        value=value,
-        i_curve=i_curve,
-        gap_curve=per_theta - value,
+        theta_star=k,
+        theta_star_label=fam.labels[k],
+        k_star=k_star,
+        value=dual.value,
+        i_curve=per_theta - float(dual.psi[:, 0] @ nu.weights),
+        gap_curve=per_theta - dual.value,
         per_theta=per_theta,
-        plan=ot0.plan,
-        potentials=pot0,
+        plan=star.plan,
+        potentials=star.potentials,
         dual=dual,
     )
-
-
-def _cbar_chunked(y, z, psi, power, chunk: int = 512):
-    out = np.empty(y.size)
-    for a in range(0, y.size, chunk):
-        block = np.abs(y[a : a + chunk, None] - z[None, :]) ** power - psi[None, :]
-        out[a : a + chunk] = block.min(axis=1)
-    return out

@@ -13,16 +13,7 @@ import time
 
 import numpy as np
 
-from wassalign.alignment import (
-    _assemble_dual,
-    per_entry_ot,
-    _solve_dual_lp,
-    gap_certificate,
-    LP_CELL_LIMIT,
-    report_from_dual,
-    BruteForceResult,
-    ARGMIN_TOL,
-)
+from wassalign.alignment import align, gap_certificates
 from wassalign.dataio import (
     json_dumps,
     parse_cost,
@@ -103,23 +94,8 @@ def cmd_align(args) -> int:
     t_loaded = time.perf_counter()
 
     try:
-        per_theta, solves = per_entry_ot(mu, nu, ct)
-        value = float(per_theta.min())
-        bf = BruteForceResult(
-            [int(k) for k in np.flatnonzero(per_theta <= value + ARGMIN_TOL)],
-            value,
-            per_theta,
-        )
-        N, M, l = ct.shape
-        if N * M * l <= LP_CELL_LIMIT:
-            dual = _solve_dual_lp(mu.weights, nu.weights, ct)
-        else:
-            dual = _assemble_dual(per_theta, solves, ct, mu.weights, nu.weights)
-        report = report_from_dual(mu, nu, ct, dual, labels=fam.labels, bf=bf)
-        certs = [
-            gap_certificate(k, mu, nu, ct, dual.value, ot_result=solves[k])
-            for k in range(l)
-        ]
+        report = align(mu, nu, fam, cost)
+        certs = gap_certificates(report, mu, nu, ct)
         worst_identity = max(c.identity_residual for c in certs)
     except LpSolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from wassalign.alignment import AlignmentReport, _align_projected_1d
+from wassalign.alignment import AlignmentReport, align
 from wassalign.measures import CostSpec, FamilyEntry, TransformFamily, new_measure, whiten
 
 logger = logging.getLogger(__name__)
@@ -315,5 +315,5 @@ def mixture_demo(
     mu = new_measure(mu_pts)
     nu = whiten(new_measure(nu_pts))  # 1-d standardization
     fam = projection_family(grid_size)
-    # the target is a line, so the exact quantile route applies at every size
-    return _align_projected_1d(mu, nu, fam, CostSpec.squared_euclidean())
+    # the target is a line, so align takes the exact quantile route
+    return align(mu, nu, fam, CostSpec.squared_euclidean())

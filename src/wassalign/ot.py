@@ -177,8 +177,10 @@ def _monotone_coupling(y_s, p_s, z_s, q_s):
         mm.append(move)
         ri -= move
         rj -= move
-        adv_i = ri <= 0.0 and i + 1 < N
-        adv_j = rj <= 0.0 and j + 1 < M
+        # once one side is at its last atom, the other walks to its end even
+        # if rounding left dust: every atom, zero-weight ones too, gets an edge
+        adv_i = i + 1 < N and (ri <= 0.0 or j + 1 == M)
+        adv_j = j + 1 < M and (rj <= 0.0 or i + 1 == N)
         if not adv_i and not adv_j:
             break
         if adv_i and adv_j:
@@ -216,9 +218,11 @@ def _propagate_potentials(cost_edge, prop_edges, N, M):
 def wasserstein_1d(y, p, z, q, power: float = 2.0, return_plan: bool = True) -> OtResult:
     """Exact OT on the line for the cost |y - z|^power, power >= 1.
 
-    The monotone (quantile) coupling is optimal for convex costs; potentials
-    are propagated along the coupling's staircase and verified against the
-    primal value, falling back to a cbar/c canonicalization if needed.
+    Weights are nonnegative, as for `wasserstein`; a zero-weight atom still
+    gets a potential.  The monotone (quantile) coupling is optimal for convex
+    costs; potentials are propagated along the coupling's staircase and
+    verified against the primal value, falling back to a cbar/c
+    canonicalization if needed.
     """
     y = np.asarray(y, dtype=float).ravel()
     z = np.asarray(z, dtype=float).ravel()
@@ -228,8 +232,8 @@ def wasserstein_1d(y, p, z, q, power: float = 2.0, return_plan: bool = True) -> 
         raise ValueError("power must be >= 1")
     if y.shape != p.shape or z.shape != q.shape:
         raise ValueError("points and weights length mismatch")
-    if np.any(p <= 0) or np.any(q <= 0):
-        raise ValueError("wasserstein_1d requires strictly positive weights")
+    if np.any(p < 0) or np.any(q < 0):
+        raise ValueError("wasserstein_1d requires nonnegative weights")
 
     order_y = np.argsort(y, kind="stable")
     order_z = np.argsort(z, kind="stable")
@@ -283,7 +287,7 @@ def _check_1d_potentials(y_s, p_s, z_s, q_s, phi_s, psi_s, power, value, chunk: 
     for a in range(0, y_s.size, chunk):
         block = np.abs(y_s[a : a + chunk, None] - z_s[None, :]) ** power
         viol = phi_s[a : a + chunk, None] + psi_s[None, :] - block
-        worst = max(worst, float(viol.max()))
+        worst = np.maximum(worst, viol.max())  # a NaN potential fails the check
     dual = float(phi_s @ p_s + psi_s @ q_s)
     feasible = worst <= 1e-9 * (1.0 + abs(value))
     return feasible, abs(dual - value)

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+import wassalign.alignment
 from wassalign.alignment import (
-    _align_projected_1d,
     align,
     brute_force,
     compute_J_psi,
@@ -308,9 +308,17 @@ def test_align_report_invariants():
     report.plan.check_marginals(mu.weights, nu.weights)
     assert report.theta_star_label.startswith("theta=")
     assert set(report.k_star) & {int(np.argmin(report.per_theta))}
+    # the I-curve read off the full tensor is the report's, and the witness holds
+    extraction = extract_theta(
+        report.dual, build_cost_tensor(mu, nu, fam, CostSpec.squared_euclidean()), mu.weights
+    )
+    np.testing.assert_allclose(extraction.i_curve, report.i_curve, atol=1e-12)
+    assert extraction.witness_k == k
 
 
 def test_projected_1d_path_matches_tensor_path():
+    # a line target takes the quantile route; the brute force and the joint
+    # dual LP on the dense tensor of the same instance must agree with it
     rng = np.random.default_rng(15)
     mu = new_measure(rng.normal(size=(12, 2)))
     nu = new_measure(rng.normal(size=(9, 1)))
@@ -322,17 +330,47 @@ def test_projected_1d_path_matches_tensor_path():
     )
     fam = TransformFamily(entries)
     spec = CostSpec.squared_euclidean()
-    r_tensor = align(mu, nu, fam, spec)
-    r_proj = _align_projected_1d(mu, nu, fam, spec)
-    assert r_proj.value == pytest.approx(r_tensor.value, abs=1e-9)
-    assert r_proj.theta_star == r_tensor.theta_star
-    np.testing.assert_allclose(r_proj.per_theta, r_tensor.per_theta, atol=1e-9)
-    # both paths satisfy the report identity at the optimizer
-    for rep in (r_proj, r_tensor):
-        k = rep.theta_star
-        assert rep.value == pytest.approx(
-            rep.i_curve[k] + rep.dual.psi_at(k) @ nu.weights, abs=1e-7
-        )
-        assert rep.dual.feasibility_violation(
-            build_cost_tensor(mu, nu, fam, spec)
-        ) <= 1e-8
+    ct = build_cost_tensor(mu, nu, fam, spec)
+    rep = align(mu, nu, fam, spec)
+    bf = brute_force(mu, nu, ct)
+    d_lp = solve_dual(mu, nu, ct, method="lp")
+    assert rep.value == pytest.approx(bf.value, abs=1e-9)
+    assert rep.value == pytest.approx(d_lp.value, abs=1e-9)
+    assert rep.theta_star == bf.k_star[0]
+    np.testing.assert_allclose(rep.per_theta, bf.per_theta, atol=1e-9)
+    # both duals satisfy the report identity at the optimizer
+    k = rep.theta_star
+    assert rep.value == pytest.approx(
+        rep.i_curve[k] + rep.dual.psi_at(k) @ nu.weights, abs=1e-7
+    )
+    i_curve_lp = extract_theta(d_lp, ct, mu.weights).i_curve
+    assert d_lp.value == pytest.approx(i_curve_lp[k] + d_lp.psi_at(k) @ nu.weights, abs=1e-7)
+    assert rep.dual.feasibility_violation(ct) <= 1e-8
+    assert d_lp.feasibility_violation(ct) <= 1e-8
+
+
+def test_align_solves_each_entry_once(monkeypatch):
+    rng = np.random.default_rng(16)
+    mu = new_measure(rng.normal(size=(7, 2)))
+    nu = new_measure(rng.normal(size=(5, 2)))
+    fam = rotation_grid(6)
+    spec = CostSpec.squared_euclidean()
+    calls = []
+    solve = wassalign.alignment.wasserstein
+
+    def counted(p, q, C):
+        res = solve(p, q, C)
+        calls.append((np.array(C), res))
+        return res
+
+    monkeypatch.setattr(wassalign.alignment, "wasserstein", counted)
+    report = align(mu, nu, fam, spec)
+    assert len(calls) == len(fam)
+    k = report.theta_star
+    C, res = calls[k]
+    assert report.plan is res.plan
+    assert report.potentials is res.potentials
+    np.testing.assert_allclose(C, build_cost_tensor(mu, nu, fam, spec).slice(k), atol=1e-12)
+    assert report.potentials.objective(mu.weights, nu.weights) == pytest.approx(
+        report.per_theta[k] - fam.penalties[k], abs=1e-9
+    )

@@ -4,8 +4,10 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from wassalign.alignment import align
 from wassalign.cli import main
 from wassalign.dataio import parse_cost, parse_family, read_points_csv
+from wassalign.measures import new_measure
 
 REPORT_KEYS = {"value", "thetaStar", "iCurve", "gapCurve", "psi", "planNnz", "timingsMs"}
 
@@ -126,6 +128,31 @@ def test_align_matrix_family_with_penalties(tmp_path):
     assert rc == 0
     doc = json.loads(out.read_text())
     assert len(doc["iCurve"]) == 2
+
+
+def test_align_line_target_takes_the_quantile_route(tmp_path):
+    # 300 x 300 x 24 with a 1-d target: the transport LP per entry would run
+    # for minutes, the quantile route in well under a second
+    rng = np.random.default_rng(6)
+    pts2 = rng.normal(size=(300, 2))
+    pts1 = rng.normal(size=(300, 1))
+    mu = tmp_path / "mu.csv"
+    nu = tmp_path / "nu.csv"
+    write_cloud(mu, pts2)
+    write_cloud(nu, pts1)
+    fam_csv = tmp_path / "maps.csv"
+    write_cloud(fam_csv, [(np.cos(t), np.sin(t)) for t in np.linspace(0.0, np.pi, 24)])
+    out = tmp_path / "r.json"
+    rc = main([
+        "align", "--mu", str(mu), "--nu", str(nu),
+        "--family", f"matrices:{fam_csv}", "--out", str(out),
+    ])
+    assert rc == 0
+    doc = json.loads(out.read_text())
+    fam = parse_family(f"matrices:{fam_csv}", 2, 1)
+    report = align(new_measure(pts2), new_measure(pts1), fam, parse_cost("sq-euclidean"))
+    assert doc["value"] == report.value
+    assert doc["thetaStar"] == {"index": report.theta_star, "label": report.theta_star_label}
 
 
 def test_ot_command(tmp_path, capsys):

@@ -143,9 +143,27 @@ def test_1d_uniform_equal_sizes_is_sorted_matching():
     assert res.value == pytest.approx(expected, abs=1e-12)
 
 
-def test_1d_rejects_zero_weights():
+def test_1d_zero_weights_match_lp():
+    # weights are nonnegative as for the transport LP: about 30% of the
+    # atoms carry no mass, and negative weights are still rejected
+    rng = np.random.default_rng(26)
+    for power in np.repeat([1.0, 1.5, 2.0, 3.0], 6):
+        N, M = rng.integers(2, 10), rng.integers(2, 10)
+        y = rng.normal(size=N)
+        z = rng.normal(size=M)
+        p = rng.dirichlet(np.ones(N)) * (rng.uniform(size=N) > 0.3)
+        q = rng.dirichlet(np.ones(M)) * (rng.uniform(size=M) > 0.3)
+        p[rng.integers(N)] += 1.0 - p.sum()
+        q[rng.integers(M)] += 1.0 - q.sum()
+        C = np.abs(y[:, None] - z[None, :]) ** power
+        lp_res = wasserstein(p, q, C)
+        fast = wasserstein_1d(y, p, z, q, power=power)
+        assert fast.value == pytest.approx(lp_res.value, abs=1e-9)
+        fast.plan.check_marginals(p, q)
+        assert fast.potentials.feasibility_violation(C) <= 1e-9
+        assert fast.potentials.objective(p, q) == pytest.approx(fast.value, abs=1e-9)
     with pytest.raises(ValueError):
-        wasserstein_1d([0.0, 1.0], [1.0, 0.0], [0.0], [1.0])
+        wasserstein_1d([0.0, 1.0], [1.5, -0.5], [0.0], [1.0])
 
 
 # -- metric and stability properties -----------------------------------------

@@ -38,6 +38,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from wassalign.lp import LpProblem, LpSolverError, LpStatus, solve_lp
 from wassalign.measures import CostSpec, CostTensor, DiscreteMeasure, pairwise_cost
@@ -261,25 +262,29 @@ def _solve_dual_lp(p: np.ndarray, q: np.ndarray, ct: CostTensor) -> AlignmentDua
 
     xi_cols = np.arange(N * l).reshape(N, l)
     psi_cols = (N * l + np.arange(M * l)).reshape(M, l)
-    for i in range(N):
-        for k in range(l):
-            col_xi = xi_cols[i, k]
-            row_rhs = folded[i, :, k]
-            for j in range(M):
-                prob.add_row((col_xi, psi_cols[j, k]), (1.0, 1.0), "<=", row_rhs[j])
-    for k in range(1, l):
-        prob.add_row(
-            np.concatenate([xi_cols[:, k], xi_cols[:, 0]]),
-            np.concatenate([p, -p]),
-            "==",
-            0.0,
-        )
-        prob.add_row(
-            np.concatenate([psi_cols[:, k], psi_cols[:, 0]]),
-            np.concatenate([q, -q]),
-            "==",
-            0.0,
-        )
+    # xi_ik + psi_jk <= c_ijk + R_k, one row per (i, k, j) in that order
+    pair_cols = np.stack(
+        [
+            np.broadcast_to(xi_cols[:, :, None], (N, l, M)),
+            np.broadcast_to(psi_cols.T[None], (N, l, M)),
+        ],
+        axis=-1,
+    ).ravel()
+    n_pairs = N * l * M
+    pairs = sp.csr_matrix(
+        (np.ones(2 * n_pairs), pair_cols, np.arange(0, 2 * n_pairs + 1, 2)),
+        shape=(n_pairs, n_vars),
+    )
+    prob.add_rows(pairs, "<=", folded.transpose(0, 2, 1).ravel())
+    # mean consistency: for k >= 1, an xi row then a psi row, each against entry 0
+    if l > 1:
+        xi_rows = np.hstack([xi_cols[:, 1:].T, np.broadcast_to(xi_cols[:, 0], (l - 1, N))])
+        psi_rows = np.hstack([psi_cols[:, 1:].T, np.broadcast_to(psi_cols[:, 0], (l - 1, M))])
+        cols = np.hstack([xi_rows, psi_rows]).ravel()
+        vals = np.tile(np.concatenate([p, -p, q, -q]), l - 1)
+        indptr = np.concatenate([[0], np.cumsum(np.tile([2 * N, 2 * M], l - 1))])
+        means = sp.csr_matrix((vals, cols, indptr), shape=(2 * (l - 1), n_vars))
+        prob.add_rows(means, "==", 0.0)
 
     sol = solve_lp(prob)
     if sol.status is not LpStatus.OPTIMAL:
@@ -333,25 +338,24 @@ def solve_relaxed_primal(
     obj = np.ascontiguousarray(folded.transpose(0, 2, 1)).ravel()  # (i, k, j) order
     prob = LpProblem(n_vars, objective=obj)
 
-    for i in range(N):
-        prob.add_row(np.arange(i * l * M, (i + 1) * l * M), np.ones(l * M), "==", p[i])
-    base_j = M * np.arange(N * l)
-    for j in range(M):
-        prob.add_row(base_j + j, np.ones(N * l), "==", q[j])
-    block = np.arange(M)
-    entry_cols = [
-        (np.arange(N)[:, None] * l * M + k * M + block[None, :]).ravel() for k in range(l)
-    ]
-    for i in range(N):
-        for k in range(l):
-            vals = np.full((N, M), -p[i])
-            vals[i, :] += 1.0
-            prob.add_row(entry_cols[k], vals.ravel(), "==", 0.0)
-    for j in range(M):
-        for k in range(l):
-            vals = np.full((N, M), -q[j])
-            vals[:, j] += 1.0
-            prob.add_row(entry_cols[k], vals.ravel(), "==", 0.0)
+    def block(cols, vals, row_len):
+        n_rows = cols.size // row_len
+        indptr = np.arange(0, cols.size + 1, row_len)
+        return sp.csr_matrix((vals, cols, indptr), shape=(n_rows, n_vars))
+
+    ones = np.ones(n_vars)
+    cells = np.arange(n_vars).reshape(N, l, M)
+    prob.add_rows(block(cells.ravel(), ones, l * M), "==", p)
+    prob.add_rows(block(cells.transpose(2, 0, 1).ravel(), ones, N * l), "==", q)
+    # channel k carries p_i r_k out of source i: rows (i, k) over entry k's cells
+    entry_cols = cells.transpose(1, 0, 2).reshape(l, N * M)
+    vals = np.broadcast_to(-p[:, None, None, None], (N, l, N, M)).copy()
+    vals[np.arange(N), :, np.arange(N), :] += 1.0
+    prob.add_rows(block(np.tile(entry_cols, (N, 1)).ravel(), vals.ravel(), N * M), "==", 0.0)
+    # and q_j r_k into target j: rows (j, k)
+    vals = np.broadcast_to(-q[:, None, None, None], (M, l, N, M)).copy()
+    vals[np.arange(M), :, :, np.arange(M)] += 1.0
+    prob.add_rows(block(np.tile(entry_cols, (M, 1)).ravel(), vals.ravel(), N * M), "==", 0.0)
 
     sol = solve_lp(prob, orientation="direct")
     if sol.status is not LpStatus.OPTIMAL:
@@ -420,21 +424,26 @@ def gap_certificate(
     ct: CostTensor,
     dual_value: float,
     ot_result: OtResult | None = None,
+    *,
+    folded: np.ndarray | None = None,
 ) -> GapCertificate:
     """Primal/dual optimality gaps at family entry k0 and their exact link.
 
     delta = per-entry objective at k0 minus the alignment value; g is the
     suboptimality of the single-potential dual lift built from the k0 OT
     solve; the identity delta + g = I(k0) - min_k I holds up to solver
-    tolerance, and both gaps are nonnegative.
+    tolerance, and both gaps are nonnegative.  folded is ct.folded(), for a
+    caller that certifies several entries and folds once.
     """
     N, M, l = ct.shape
     if not 0 <= k0 < l:
         raise ValueError(f"k0={k0} out of range for l={l}")
     if ot_result is None:
         ot_result = wasserstein(mu.weights, nu.weights, ct.slice(k0))
+    if folded is None:
+        folded = ct.folded()
     pot = _canonical_potentials(ot_result.potentials.psi, lambda: [ct.slice(k0)])
-    psibar = _psibar_folded(pot.psi, ct.folded())
+    psibar = _psibar_folded(pot.psi, folded)
     i_curve = mu.weights @ psibar
     i_min = float(i_curve.min())
     delta = float(ot_result.value + ct.penalties[k0] - dual_value)
@@ -450,15 +459,16 @@ def gap_certificates(
 
     Column k of report.dual is a Kantorovich pair of entry k shifted by a
     constant, which leaves every certificate unchanged, so no entry is
-    solved again.
+    solved again, and the cost tensor is folded once for all entries.
     """
     no_plan = TransportPlan(np.zeros((0, 0)))
+    folded = ct.folded()
     certs = []
     for k in range(ct.shape[2]):
         ot_value = report.per_theta[k] - ct.penalties[k]
         phi = report.dual.xi[:, k] - ct.penalties[k] + report.gap_curve[k]
         res = OtResult(ot_value, no_plan, PotentialPair(phi, report.dual.psi[:, k]))
-        certs.append(gap_certificate(k, mu, nu, ct, report.value, ot_result=res))
+        certs.append(gap_certificate(k, mu, nu, ct, report.value, res, folded=folded))
     return certs
 
 
@@ -489,7 +499,17 @@ def _entry_solver(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
     def cost_of(y):
         return pairwise_cost(y, nu.points, cost)
 
-    return lambda y, with_plan: wasserstein(p, q, cost_of(y)), cost_of
+    # the entries share p and q, so each entry's optimal basis is feasible for
+    # the next one and its simplex starts there instead of running Phase I
+    start = None
+
+    def solve(y, with_plan):
+        nonlocal start
+        res = wasserstein(p, q, cost_of(y), start=start)
+        start = res.basis
+        return res
+
+    return solve, cost_of
 
 
 def align(

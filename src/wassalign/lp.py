@@ -5,6 +5,13 @@ bounds turned into explicit rows), Phase I with artificial variables, Phase II
 with Dantzig pricing switching to Bland's rule for anti-cycling.  The basis
 inverse is kept dense and refreshed every REFACTOR_PERIOD pivots.
 
+Warm start: every optimal solve returns its final basis (`LpSolution.basis`),
+and `solve_lp(..., start=basis)` begins Phase II from it when it factors, is
+primal feasible and holds no artificial above zero; otherwise Phase I runs as
+for a cold solve.  A sequence of problems that share their rows and right-hand
+side and differ in the objective -- the per-entry transport LPs of an
+alignment -- thus pays Phase I once.
+
 Problems with far more rows than columns (the alignment dual LP is the
 motivating case: N*M*l inequalities over N*l + M variables) are solved through
 their LP dual: the dual has one row per original variable, so the simplex
@@ -78,14 +85,18 @@ class LpProblem:
                 raise ValueError("objective has non-finite coefficients")
         self.lower = np.zeros(self.n_vars)
         self.upper = np.full(self.n_vars, np.inf)
-        self._row_cols: list = []
-        self._row_vals: list = []
-        self._relations: list = []
+        # constraint rows in insertion order, kept as pieces of one CSR matrix:
+        # column indices, values, entries per row, relation codes, rhs
+        self._cols: list = []
+        self._vals: list = []
+        self._lengths: list = []
+        self._codes: list = []
         self._rhs: list = []
+        self._n_rows = 0
 
     @property
     def n_rows(self) -> int:
-        return len(self._rhs)
+        return self._n_rows
 
     def set_bounds(self, lower=None, upper=None) -> None:
         if lower is not None:
@@ -104,36 +115,68 @@ class LpProblem:
         vals = np.asarray(vals, dtype=float).ravel()
         if cols.shape != vals.shape:
             raise ValueError("cols and vals length mismatch")
+        self._append(cols, vals, np.array([cols.size]), relation, np.array([rhs], dtype=float))
+
+    def add_rows(self, A, relation: str, rhs) -> None:
+        """Append every row of the sparse (n_new, n_vars) matrix A at once.
+
+        All new rows share one relation; rhs is a scalar or one value per row.
+        Entries are kept in A's stored order, as add_row keeps its cols.
+        """
+        A = sp.csr_matrix(A)
+        if A.shape[1] != self.n_vars:
+            raise ValueError(f"matrix has {A.shape[1]} columns, the LP has {self.n_vars}")
+        rhs = np.broadcast_to(np.asarray(rhs, dtype=float), (A.shape[0],))
+        self._append(
+            A.indices.astype(np.int64),
+            A.data.astype(float),
+            np.diff(A.indptr).astype(np.int64),
+            relation,
+            rhs.copy(),
+        )
+
+    def _append(self, cols, vals, lengths, relation, rhs) -> None:
         if cols.size and (cols.min() < 0 or cols.max() >= self.n_vars):
             raise ValueError("column index out of range")
-        if not np.all(np.isfinite(vals)) or not np.isfinite(rhs):
+        if not np.all(np.isfinite(vals)) or not np.all(np.isfinite(rhs)):
             raise ValueError("non-finite row coefficient or rhs")
         if relation not in _RELATIONS:
             raise ValueError(f"relation must be one of {_RELATIONS}, got {relation!r}")
-        self._row_cols.append(cols)
-        self._row_vals.append(vals)
-        self._relations.append(relation)
-        self._rhs.append(float(rhs))
+        self._cols.append(cols)
+        self._vals.append(vals)
+        self._lengths.append(lengths)
+        self._codes.append(np.full(rhs.size, _RELATIONS.index(relation), dtype=np.int8))
+        self._rhs.append(rhs)
+        self._n_rows += rhs.size
+
+    def _rows_flat(self):
+        """(row index per entry, cols, vals, relation codes, rhs), in insertion order."""
+        if len(self._rhs) != 1:
+            # fold the pieces into one, so repeated reads concatenate once
+            parts = (self._cols, self._vals, self._lengths, self._codes, self._rhs)
+            dtypes = (np.int64, float, np.int64, np.int8, float)
+            for part, dtype in zip(parts, dtypes):
+                merged = np.concatenate(part) if part else np.zeros(0, dtype=dtype)
+                part[:] = [merged]
+        rows = np.repeat(np.arange(self._n_rows, dtype=np.int64), self._lengths[0])
+        return rows, self._cols[0], self._vals[0], self._codes[0], self._rhs[0]
 
     def rows(self):
-        for cols, vals, rel, rhs in zip(self._row_cols, self._row_vals, self._relations, self._rhs):
-            yield cols, vals, rel, rhs
+        _, cols, vals, codes, rhs = self._rows_flat()
+        ends = np.concatenate([[0], np.cumsum(self._lengths[0])])
+        for i in range(self._n_rows):
+            lo, hi = ends[i], ends[i + 1]
+            yield cols[lo:hi], vals[lo:hi], _RELATIONS[codes[i]], float(rhs[i])
 
     def rhs_vector(self) -> np.ndarray:
-        return np.array(self._rhs, dtype=float)
+        return self._rows_flat()[4].copy()
 
     def relations(self) -> list:
-        return list(self._relations)
+        return [_RELATIONS[c] for c in self._rows_flat()[3]]
 
     def matrix(self) -> sp.csr_matrix:
         """Constraint rows as an (n_rows, n_vars) CSR matrix."""
-        if not self._rhs:
-            return sp.csr_matrix((0, self.n_vars))
-        rows = np.concatenate(
-            [np.full(c.size, i, dtype=np.int64) for i, c in enumerate(self._row_cols)]
-        ) if any(c.size for c in self._row_cols) else np.zeros(0, dtype=np.int64)
-        cols = np.concatenate(self._row_cols) if self._row_cols else np.zeros(0, dtype=np.int64)
-        vals = np.concatenate(self._row_vals) if self._row_vals else np.zeros(0)
+        rows, cols, vals, _, _ = self._rows_flat()
         return sp.csr_matrix((vals, (rows, cols)), shape=(self.n_rows, self.n_vars))
 
 
@@ -148,6 +191,9 @@ class LpSolution:
     dual_objective: float | None = None
     iterations: int = 0
     message: str = ""
+    # optimal basis as standard-form column indices, for solve_lp(start=...);
+    # None unless OPTIMAL on the direct orientation
+    basis: np.ndarray | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -159,36 +205,19 @@ class _StandardForm:
     """min c.x  s.t.  A x = b (b >= 0), x >= 0, built from an LpProblem."""
 
     def __init__(self, p: LpProblem):
-        n = p.n_vars
         cmin = -p.objective if p.maximize else p.objective
 
         # variable transforms: x_orig = shift + sign * u  (or u - v when free)
-        col_plus = np.empty(n, dtype=np.int64)
-        col_minus = np.full(n, -1, dtype=np.int64)
-        shift = np.zeros(n)
-        sign = np.ones(n)
-        bound_rows = []  # (var column, ub) rows u <= ub appended after true rows
-        ncol = 0
-        for j in range(n):
-            lo, hi = p.lower[j], p.upper[j]
-            if np.isneginf(lo) and np.isposinf(hi):
-                col_plus[j] = ncol
-                col_minus[j] = ncol + 1
-                ncol += 2
-            elif np.isneginf(lo):
-                # x = hi - u
-                col_plus[j] = ncol
-                shift[j] = hi
-                sign[j] = -1.0
-                ncol += 1
-            else:
-                col_plus[j] = ncol
-                shift[j] = lo
-                if np.isposinf(hi):
-                    pass
-                else:
-                    bound_rows.append((ncol, hi - lo))
-                ncol += 1
+        no_lower, no_upper = np.isneginf(p.lower), np.isposinf(p.upper)
+        free = no_lower & no_upper
+        flipped = no_lower & ~no_upper  # x = hi - u
+        boxed = ~no_lower & ~no_upper  # x = lo + u with a row u <= hi - lo
+        width = np.where(free, 2, 1)
+        col_plus = np.cumsum(width) - width
+        col_minus = np.where(free, col_plus + 1, -1)
+        shift = np.where(flipped, p.upper, np.where(no_lower, 0.0, p.lower))
+        sign = np.where(flipped, -1.0, 1.0)
+        ncol = int(width.sum())
         self.n_struct = ncol
         self.col_plus, self.col_minus = col_plus, col_minus
         self.shift, self.sign = shift, sign
@@ -198,107 +227,75 @@ class _StandardForm:
         c_struct[col_plus] = sign * cmin
         has_minus = col_minus >= 0
         c_struct[col_minus[has_minus]] = -cmin[has_minus]
-        self.const_shift = float(cmin @ shift)  # objective offset from shifts
 
-        # assemble rows: originals first, then upper-bound rows
+        # original rows first (>= rows negated, then each row signed so that
+        # its rhs is nonnegative), then one row per finite upper bound
+        rows, cols, vals, codes, rhs = p._rows_flat()
         m_orig = p.n_rows
-        m = m_orig + len(bound_rows)
-        coo_r: list = []
-        coo_c: list = []
-        coo_v: list = []
-        b = np.zeros(m)
+        bound_vars = np.flatnonzero(boxed)
+        ub = p.upper[bound_vars] - p.lower[bound_vars]
+        if np.any(ub < 0):
+            raise ValueError("inconsistent bounds")
+        m = m_orig + bound_vars.size
+        s = np.where(codes == _RELATIONS.index(">="), -1.0, 1.0)
+        offset = np.zeros(m_orig)
+        if np.any(shift != 0.0):
+            offset = np.bincount(rows, weights=vals * shift[cols], minlength=m_orig)
+        rhs_adj = s * (rhs - offset)
+        flip = rhs_adj < 0
         row_sign = np.ones(m)
-        slack_sign = np.zeros(m)  # 0: equality row, +1/-1: slack coefficient
-        needs_slack = np.zeros(m, dtype=bool)
+        row_sign[:m_orig] = np.where(flip, -s, s)
+        b = np.concatenate([np.where(flip, -rhs_adj, rhs_adj), ub])
+        # 0: equality row, +1/-1: slack coefficient
+        row_slack = np.where(codes == _RELATIONS.index("=="), 0.0, np.where(flip, -1.0, 1.0))
+        slack_sign = np.concatenate([row_slack, np.ones(bound_vars.size)])
 
-        for i, (cols, vals, rel, rhs) in enumerate(p.rows()):
-            s = -1.0 if rel == ">=" else 1.0
-            rhs_adj = s * (rhs - float(vals @ shift[cols]))
-            cplus = col_plus[cols]
-            vplus = s * vals * sign[cols]
-            r_idx = [np.full(cols.size, i, dtype=np.int64)]
-            c_idx = [cplus]
-            v_idx = [vplus]
-            fm = col_minus[cols] >= 0
-            if fm.any():
-                r_idx.append(np.full(int(fm.sum()), i, dtype=np.int64))
-                c_idx.append(col_minus[cols[fm]])
-                v_idx.append(-s * vals[fm])
-            if rhs_adj < 0:
-                rhs_adj = -rhs_adj
-                v_idx = [-v for v in v_idx]
-                row_sign[i] = -s
-                sl = -1.0
-            else:
-                row_sign[i] = s
-                sl = 1.0
-            b[i] = rhs_adj
-            coo_r.extend(r_idx)
-            coo_c.extend(c_idx)
-            coo_v.extend(v_idx)
-            if rel != "==":
-                needs_slack[i] = True
-                slack_sign[i] = sl
+        entry_sign = row_sign[rows]
+        minus = col_minus[cols] >= 0
+        coo_r = [rows, rows[minus], m_orig + np.arange(bound_vars.size)]
+        coo_c = [col_plus[cols], col_minus[cols[minus]], col_plus[bound_vars]]
+        coo_v = [
+            entry_sign * vals * sign[cols],
+            -entry_sign[minus] * vals[minus],
+            np.ones(bound_vars.size),
+        ]
 
-        for t, (colu, ub) in enumerate(bound_rows):
-            i = m_orig + t
-            if ub < 0:
-                raise ValueError("inconsistent bounds")
-            b[i] = ub
-            coo_r.append(np.array([i], dtype=np.int64))
-            coo_c.append(np.array([colu], dtype=np.int64))
-            coo_v.append(np.array([1.0]))
-            needs_slack[i] = True
-            slack_sign[i] = 1.0
-
-        # append slack columns
+        # slack columns, in row order
+        slack_rows = np.flatnonzero(slack_sign != 0.0)
         slack_col_of_row = np.full(m, -1, dtype=np.int64)
-        for i in range(m):
-            if needs_slack[i]:
-                slack_col_of_row[i] = ncol
-                coo_r.append(np.array([i], dtype=np.int64))
-                coo_c.append(np.array([ncol], dtype=np.int64))
-                coo_v.append(np.array([slack_sign[i]]))
-                ncol += 1
-        self.slack_col_of_row = slack_col_of_row
-        self.slack_sign = slack_sign
+        slack_col_of_row[slack_rows] = ncol + np.arange(slack_rows.size)
+        ncol += slack_rows.size
+        coo_r.append(slack_rows)
+        coo_c.append(slack_col_of_row[slack_rows])
+        coo_v.append(slack_sign[slack_rows])
 
         # artificial columns: one per row whose slack cannot start basic
+        art_rows = np.flatnonzero(slack_sign <= 0.0)
         art_cols = np.full(m, -1, dtype=np.int64)
-        basis = np.empty(m, dtype=np.int64)
-        for i in range(m):
-            if needs_slack[i] and slack_sign[i] > 0:
-                basis[i] = slack_col_of_row[i]
-            else:
-                art_cols[i] = ncol
-                basis[i] = ncol
-                coo_r.append(np.array([i], dtype=np.int64))
-                coo_c.append(np.array([ncol], dtype=np.int64))
-                coo_v.append(np.array([1.0]))
-                ncol += 1
+        art_cols[art_rows] = ncol + np.arange(art_rows.size)
+        ncol += art_rows.size
+        coo_r.append(art_rows)
+        coo_c.append(art_cols[art_rows])
+        coo_v.append(np.ones(art_rows.size))
         self.art_cols = art_cols
         self.n_total = ncol
         self.m = m
         self.m_orig = m_orig
         self.b = b
         self.row_sign = row_sign
-        self.basis0 = basis
+        self.basis0 = np.where(art_cols >= 0, art_cols, slack_col_of_row)
 
-        if coo_r:
-            rows_cat = np.concatenate(coo_r)
-            cols_cat = np.concatenate(coo_c)
-            vals_cat = np.concatenate(coo_v)
-        else:
-            rows_cat = cols_cat = np.zeros(0, dtype=np.int64)
-            vals_cat = np.zeros(0)
-        self.A = sp.csc_matrix((vals_cat, (rows_cat, cols_cat)), shape=(m, ncol))
+        self.A = sp.csc_matrix(
+            (np.concatenate(coo_v), (np.concatenate(coo_r), np.concatenate(coo_c))),
+            shape=(m, ncol),
+        )
         self.AT = self.A.T.tocsr()
 
         c_full = np.zeros(ncol)
         c_full[: self.n_struct] = c_struct
         self.c = c_full
         self.is_artificial = np.zeros(ncol, dtype=bool)
-        self.is_artificial[art_cols[art_cols >= 0]] = True
+        self.is_artificial[art_cols[art_rows]] = True
         self.minimize_value_sign = -1.0 if p.maximize else 1.0
 
     def column(self, j: int):
@@ -357,6 +354,35 @@ class _Simplex:
         self.x_B = self.Binv @ self.sf.b
         np.maximum(self.x_B, 0.0, out=self.x_B)
         self.pivots_since_refactor = 0
+        return True
+
+    def start_from(self, basis) -> bool:
+        """Adopt a start basis if it factors, is primal feasible within
+        FEAS_TOL and holds no artificial above it; otherwise change nothing."""
+        sf = self.sf
+        basis = np.asarray(basis)
+        if basis.shape != (sf.m,) or not np.issubdtype(basis.dtype, np.integer):
+            return False
+        if sf.m == 0:
+            return True
+        if basis.min() < 0 or basis.max() >= sf.n_total:
+            return False
+        B = sf.A[:, basis].toarray()
+        try:
+            Binv = np.linalg.inv(B)
+        except np.linalg.LinAlgError:
+            return False
+        if not np.all(np.isfinite(Binv)) or np.abs(B @ Binv - np.eye(sf.m)).max() > FEAS_TOL:
+            return False
+        x_B = Binv @ sf.b
+        tol = FEAS_TOL * (1.0 + float(np.abs(sf.b).max(initial=0.0)))
+        if x_B.min() < -tol or np.any(x_B[sf.is_artificial[basis]] > tol):
+            return False
+        self.basis = basis.astype(np.int64)
+        self.in_basis[:] = False
+        self.in_basis[self.basis] = True
+        self.Binv = Binv
+        self.x_B = np.maximum(x_B, 0.0)
         return True
 
     def _pivot(self, j: int, r: int, a_hat: np.ndarray) -> None:
@@ -435,13 +461,15 @@ class _Simplex:
                 self.redundant_rows[r] = True  # row is dependent; artificial stays at 0
 
 
-def _solve_direct(p: LpProblem) -> LpSolution:
+def _solve_direct(p: LpProblem, start=None) -> LpSolution:
     sf = _StandardForm(p)
     sx = _Simplex(sf)
     bland_after = 5 * (sf.m + sf.n_total)
 
-    has_artificials = (sf.art_cols >= 0).any()
-    if has_artificials:
+    if start is not None and sx.start_from(start):
+        # artificials left basic at zero are pivoted out where their row allows
+        sx.drive_out_artificials()
+    elif (sf.art_cols >= 0).any():
         c1 = np.zeros(sf.n_total)
         c1[sf.is_artificial] = 1.0
         enterable = ~sf.is_artificial
@@ -478,6 +506,7 @@ def _solve_direct(p: LpProblem) -> LpSolution:
         objective=obj,
         dual_objective=dual_obj,
         iterations=sx.iterations,
+        basis=sx.basis.copy(),
     )
 
 
@@ -624,15 +653,21 @@ def _solve_swapped(p: LpProblem) -> LpSolution:
     )
 
 
-def solve_lp(p: LpProblem, orientation: str = "auto") -> LpSolution:
+def solve_lp(p: LpProblem, orientation: str = "auto", start=None) -> LpSolution:
     """Solve an LpProblem exactly.
 
     orientation: "auto" picks the swapped (dualized) solve for very tall
-    problems; "direct"/"swap" force one path.  Solutions are deterministic for
-    a fixed input.
+    problems; "direct"/"swap" force one path.  start: the `basis` of an
+    earlier optimal solution, typically of a problem with the same rows and
+    rhs and another objective; Phase II starts from it when it factors, is
+    primal feasible and holds no artificial above zero, and Phase I runs
+    otherwise.  A start applies to the direct orientation only.  Solutions
+    are deterministic for a fixed input and start.
     """
     if orientation not in ("auto", "direct", "swap"):
         raise ValueError(f"unknown orientation {orientation!r}")
     if orientation == "swap" or (orientation == "auto" and _swap_eligible(p)):
+        if start is not None:
+            raise ValueError("a start basis applies to the direct orientation only")
         return _solve_swapped(p)
-    return _solve_direct(p)
+    return _solve_direct(p, start)

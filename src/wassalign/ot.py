@@ -14,9 +14,10 @@ Transforms follow the asymmetric convention
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from wassalign.lp import LpProblem, LpSolverError, LpStatus, solve_lp
 
@@ -84,6 +85,8 @@ class OtResult:
     value: float
     plan: TransportPlan
     potentials: PotentialPair
+    # optimal simplex basis of the transport LP (None from the quantile solver)
+    basis: np.ndarray | None = field(default=None, repr=False, compare=False)
 
 
 def cbar_transform(psi: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -122,7 +125,7 @@ def _validate_weights(p, q, C):
     return p, q, C
 
 
-def wasserstein(p, q, C) -> OtResult:
+def wasserstein(p, q, C, start=None) -> OtResult:
     """Exact OT between weight vectors p, q under the cost matrix C.
 
     Returns the minimal cost, an optimal (vertex) plan, and Kantorovich
@@ -130,24 +133,34 @@ def wasserstein(p, q, C) -> OtResult:
     cbar_transform(psi), which keeps the dual objective and yields the
     canonical cbar-concave representative.
 
+    start: the `basis` of an earlier result with the same p and q, from
+    which the simplex starts instead of running Phase I (the feasible
+    region does not depend on C); it is checked and dropped if it does not
+    fit.  The value equals a cold solve's; when the optimum is not unique
+    the plan and potentials may be another optimal vertex and dual pair.
+
     Raises:
         LpSolverError: the inner LP solve did not return an optimal status.
     """
     p, q, C = _validate_weights(p, q, C)
     N, M = C.shape
     prob = LpProblem(N * M, objective=C.ravel())
-    cols = np.arange(N * M).reshape(N, M)
-    for i in range(N):
-        prob.add_row(cols[i], np.ones(M), "==", p[i])
-    for j in range(M):
-        prob.add_row(cols[:, j], np.ones(N), "==", q[j])
-    sol = solve_lp(prob)
+    cells = np.arange(N * M)
+    ones = np.ones(N * M)
+    # row i sums the cells of source i, row N + j those of target j
+    by_source = sp.csr_matrix((ones, cells, np.arange(0, N * M + 1, M)), shape=(N, N * M))
+    by_target = sp.csr_matrix(
+        (ones, cells.reshape(N, M).T.ravel(), np.arange(0, N * M + 1, N)), shape=(M, N * M)
+    )
+    prob.add_rows(by_source, "==", p)
+    prob.add_rows(by_target, "==", q)
+    sol = solve_lp(prob, start=start)
     if sol.status is not LpStatus.OPTIMAL:
         raise LpSolverError(f"transport LP ended with status {sol.status.value}: {sol.message}")
     plan = TransportPlan(sol.primal.reshape(N, M))
     psi = sol.dual_rows[N:]
     phi = cbar_transform(psi, C)
-    return OtResult(float(sol.objective), plan, PotentialPair(phi, psi))
+    return OtResult(float(sol.objective), plan, PotentialPair(phi, psi), basis=sol.basis)
 
 
 # ---------------------------------------------------------------------------

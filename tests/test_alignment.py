@@ -358,8 +358,8 @@ def test_align_solves_each_entry_once(monkeypatch):
     calls = []
     solve = wassalign.alignment.wasserstein
 
-    def counted(p, q, C):
-        res = solve(p, q, C)
+    def counted(p, q, C, start=None):
+        res = solve(p, q, C, start=start)
         calls.append((np.array(C), res))
         return res
 
@@ -374,3 +374,31 @@ def test_align_solves_each_entry_once(monkeypatch):
     assert report.potentials.objective(mu.weights, nu.weights) == pytest.approx(
         report.per_theta[k] - fam.penalties[k], abs=1e-9
     )
+
+
+def test_align_chains_each_entry_basis_into_the_next(monkeypatch):
+    rng = np.random.default_rng(18)
+    mu = new_measure(rng.normal(size=(6, 2)))
+    nu = new_measure(rng.normal(size=(5, 2)))
+    fam = rotation_grid(5)
+    spec = CostSpec.squared_euclidean()
+    starts, results = [], []
+    solve = wassalign.alignment.wasserstein
+
+    def recorded(p, q, C, start=None):
+        res = solve(p, q, C, start=start)
+        starts.append(start)
+        results.append(res)
+        return res
+
+    monkeypatch.setattr(wassalign.alignment, "wasserstein", recorded)
+    first = align(mu, nu, fam, spec)
+    # the chain lives inside one call: a second align starts cold again
+    second = align(mu, nu, fam, spec)
+    for run in (0, 1):
+        chain = slice(run * len(fam), (run + 1) * len(fam))
+        s, r = starts[chain], results[chain]
+        assert s[0] is None
+        assert all(s[k] is r[k - 1].basis for k in range(1, len(fam)))
+    np.testing.assert_array_equal(first.per_theta, second.per_theta)
+    np.testing.assert_array_equal(first.plan.matrix, second.plan.matrix)

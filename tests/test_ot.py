@@ -3,8 +3,17 @@ import itertools
 import numpy as np
 import pytest
 
-from wassalign.measures import CostSpec, new_measure, pairwise_cost, stiefel_validate, whiten
+from wassalign.measures import (
+    CostSpec,
+    new_measure,
+    pairwise_cost,
+    rotation_grid,
+    stiefel_validate,
+    whiten,
+)
 from wassalign.ot import (
+    DUAL_FEAS_TOL,
+    MARGINAL_TOL,
     PotentialPair,
     c_transform,
     cbar_transform,
@@ -51,6 +60,38 @@ def test_plan_marginals_and_potentials():
         # dual feasibility and strong duality at the returned potentials
         assert res.potentials.feasibility_violation(C) <= 1e-8
         assert res.potentials.objective(p, q) == pytest.approx(res.value, abs=1e-7)
+
+
+def test_warm_started_sequence_matches_cold_solves():
+    # the per-entry LPs of an alignment: shared weights, one rotation per cost
+    rng = np.random.default_rng(29)
+    N, M = 9, 7
+    x, z = rng.normal(size=(N, 2)), rng.normal(size=(M, 2))
+    p, q = rng.dirichlet(np.ones(N)), rng.dirichlet(np.ones(M))
+    spec = CostSpec.squared_euclidean()
+    start = None
+    for entry in rotation_grid(24):
+        C = pairwise_cost(entry.apply(x), z, spec)
+        cold = wasserstein(p, q, C)
+        warm = wasserstein(p, q, C, start=start)
+        assert warm.value == pytest.approx(cold.value, rel=1e-12)
+        assert warm.plan.nnz <= N + M - 1  # a vertex: at most a spanning tree
+        warm.plan.check_marginals(p, q, tol=MARGINAL_TOL)
+        assert warm.potentials.feasibility_violation(C) <= DUAL_FEAS_TOL
+        assert warm.potentials.objective(p, q) == pytest.approx(warm.value, abs=1e-9)
+        start = warm.basis
+
+
+def test_start_from_other_weights_gives_the_cold_result():
+    rng = np.random.default_rng(31)
+    C = rng.uniform(0, 5, size=(6, 5))
+    p = rng.dirichlet(np.ones(6))
+    start = wasserstein(p, np.full(5, 0.2), C).basis
+    q = np.array([0.8, 0.05, 0.05, 0.05, 0.05])
+    cold, warm = wasserstein(p, q, C), wasserstein(p, q, C, start=start)
+    assert warm.value == cold.value
+    np.testing.assert_array_equal(warm.plan.matrix, cold.plan.matrix)
+    np.testing.assert_array_equal(warm.potentials.psi, cold.potentials.psi)
 
 
 def test_weak_duality_for_arbitrary_feasible_pair():

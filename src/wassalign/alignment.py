@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from wassalign import tolerance
 from wassalign.lp import LpProblem, LpSolverError, LpStatus, solve_lp
 from wassalign.measures import CostSpec, CostTensor, DiscreteMeasure, pairwise_cost
 from wassalign.ot import (
@@ -72,8 +73,6 @@ __all__ = [
     "align",
 ]
 
-ARGMIN_TOL = 1e-7
-WITNESS_TOL = 1e-6
 # cost-matrix rows formed at once when align transforms potentials, so that
 # the quantile route never holds a full N x M cost matrix
 ROW_BLOCK = 512
@@ -118,7 +117,7 @@ class ThetaExtraction:
     """Argmin data read off an optimal dual: the I-curve and its minimizers.
 
     witness_k is an index in k_star where xi equals the folded cbar-transform
-    row within WITNESS_TOL (the complementary-slackness characterization);
+    row within tolerance (the complementary-slackness characterization);
     None means the check failed and was logged as a certificate warning.
     """
 
@@ -171,14 +170,24 @@ class AlignmentReport:
     dual: AlignmentDual
 
 
+def _folded_size(largest_costs, penalties) -> float:
+    """max_k (max_ij |c_ijk| + |R_k|), from largest_costs[k] = max_ij |c_ijk|:
+    the size of the folded costs c + R, an upper bound of max |c + R|."""
+    return float(np.max(np.asarray(largest_costs) + np.abs(penalties)))
+
+
+def _argmin_set(values: np.ndarray, size: float) -> list:
+    """Ascending indices within tolerance.of(size) of the minimum of values."""
+    cut = float(values.min()) + tolerance.of(size)
+    return [int(k) for k in np.flatnonzero(values <= cut)]
+
+
 def _psibar_folded(psi: np.ndarray, folded: np.ndarray) -> np.ndarray:
     """(N, l) array of min_j (folded[i, j, k] - psi[j, k]).
 
     psi may be a single vector (broadcast across entries) or an (M, l) array.
     """
-    if psi.ndim == 1:
-        return (folded - psi[None, :, None]).min(axis=1)
-    return (folded - psi[None, :, :]).min(axis=1)
+    return (folded - psi.reshape(1, psi.shape[0], -1)).min(axis=1)
 
 
 def _cbar_rows(psi: np.ndarray, blocks) -> np.ndarray:
@@ -223,9 +232,8 @@ def per_entry_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, ct: CostTensor):
 def brute_force(mu: DiscreteMeasure, nu: DiscreteMeasure, ct: CostTensor) -> BruteForceResult:
     """Literal minimum over the family of per-entry OT value plus penalty."""
     per_theta, _ = per_entry_ot(mu, nu, ct)
-    value = float(per_theta.min())
-    k_star = [int(k) for k in np.flatnonzero(per_theta <= value + ARGMIN_TOL)]
-    return BruteForceResult(k_star, value, per_theta)
+    size = _folded_size(np.abs(ct.values).max(axis=(0, 1)), ct.penalties)
+    return BruteForceResult(_argmin_set(per_theta, size), float(per_theta.min()), per_theta)
 
 
 def solve_dual(
@@ -357,7 +365,7 @@ def solve_relaxed_primal(
     vals[np.arange(M), :, :, np.arange(M)] += 1.0
     prob.add_rows(block(np.tile(entry_cols, (M, 1)).ravel(), vals.ravel(), N * M), "==", 0.0)
 
-    sol = solve_lp(prob, orientation="direct")
+    sol = solve_lp(prob)
     if sol.status is not LpStatus.OPTIMAL:
         raise LpSolverError(f"relaxed primal LP status {sol.status.value}: {sol.message}")
     gamma = sol.primal.reshape(N, l, M)
@@ -373,21 +381,21 @@ def extract_theta(dual: AlignmentDual, ct: CostTensor, p: np.ndarray) -> ThetaEx
     """Optimal family entries from the dual potentials.
 
     i_curve[k] = sum_i p_i min_j (c_ijk - psi_jk) + R_k; its argmin set
-    (within ARGMIN_TOL) contains every entry carrying channel mass at the
+    (within tolerance) contains every entry carrying channel mass at the
     optimum.  Also verifies the slack witness: some argmin k must satisfy
     xi_ik = min_j (c_ijk + R_k - psi_jk) for every i.
     """
     psibar = _psibar_folded(dual.psi, ct.folded())
     i_curve = p @ psibar
-    i_min = float(i_curve.min())
-    k_star = [int(k) for k in np.flatnonzero(i_curve <= i_min + ARGMIN_TOL)]
+    size = _folded_size(np.abs(ct.values).max(axis=(0, 1)), ct.penalties)
+    k_star = _argmin_set(i_curve, size)
 
     witness_k = None
     witness_gap = np.inf
     for k in k_star:
         gap = float(np.max(np.abs(dual.xi[:, k] - psibar[:, k])))
         witness_gap = min(witness_gap, gap)
-        if gap <= WITNESS_TOL:
+        if gap <= tolerance.of(size):
             witness_k = k
             break
     if witness_k is None:
@@ -478,9 +486,10 @@ def gap_certificates(
 
 
 def _entry_solver(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
-    """Exact OT for one family entry, and the cost matrix that solver sees.
+    """Exact OT for one family entry, the cost matrix that solver sees, and
+    that matrix's largest magnitude.
 
-    Both functions take the image y = T_k(x) of (rows of) mu's support.  A
+    The functions take the image y = T_k(x) of (rows of) mu's support.  A
     target on the line under a power of the distance takes the quantile
     solver, which forms no cost matrix; any other instance poses the
     transport LP.  solve(y, with_plan) returns an OtResult; the transport LP
@@ -494,7 +503,10 @@ def _entry_solver(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
         def solve(y, with_plan):
             return wasserstein_1d(y[:, 0], p, z, q, power=power, return_plan=with_plan)
 
-        return solve, lambda y: np.abs(y - z[None, :]) ** power
+        def largest_cost(y):
+            return max(abs(y.max() - z.min()), abs(z.max() - y.min())) ** power
+
+        return solve, lambda y: np.abs(y - z[None, :]) ** power, largest_cost
 
     def cost_of(y):
         return pairwise_cost(y, nu.points, cost)
@@ -509,7 +521,7 @@ def _entry_solver(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
         start = res.basis
         return res
 
-    return solve, cost_of
+    return solve, cost_of, lambda y: float(np.abs(cost_of(y)).max())
 
 
 def align(
@@ -524,7 +536,7 @@ def align(
     when the target space is the line and the cost is sq-euclidean or a
     power, by the transport LP otherwise.  The per-entry potentials are
     assembled into an optimal dual (exact by weak duality); the optimizer is
-    the smallest index whose objective lies within ARGMIN_TOL of the
+    the smallest index whose objective lies within tolerance of the
     minimum, and the complementary-slackness witness is checked there.  Cost
     matrices are formed one entry at a time, so memory grows with N*M, not
     N*M*l.  solve_dual(method="lp") on build_cost_tensor of the same
@@ -535,9 +547,11 @@ def align(
     if fam.target_dim != nu.dim:
         raise ValueError(f"family maps into R^{fam.target_dim}, nu lives in R^{nu.dim}")
     penalties = fam.penalties
-    solve, cost_of = _entry_solver(mu, nu, cost)
-    solves = [solve(entry.apply(mu.points), False) for entry in fam]
+    solve, cost_of, largest_cost = _entry_solver(mu, nu, cost)
+    images = [entry.apply(mu.points) for entry in fam]
+    solves = [solve(y, False) for y in images]
     per_theta = np.array([res.value for res in solves]) + penalties
+    size = _folded_size([largest_cost(y) for y in images], penalties)
 
     def cost_rows(k):
         for start in range(0, mu.size, ROW_BLOCK):
@@ -546,11 +560,11 @@ def align(
     dual = _assemble_dual(
         per_theta, [res.potentials for res in solves], penalties, nu.weights, cost_rows
     )
-    k_star = [int(k) for k in np.flatnonzero(per_theta <= dual.value + ARGMIN_TOL)]
+    k_star = _argmin_set(per_theta, size)
     k = k_star[0]
     psibar = _cbar_rows(dual.psi[:, k], cost_rows(k)) + penalties[k]
     witness_gap = float(np.max(np.abs(dual.xi[:, k] - psibar)))
-    if witness_gap > WITNESS_TOL:
+    if witness_gap > tolerance.of(size):
         logger.warning(
             "certificate warning: the optimizer's xi column is %.3e from its "
             "cbar-transform row",

@@ -13,10 +13,12 @@ side and differ in the objective -- the per-entry transport LPs of an
 alignment -- thus pays Phase I once.
 
 Problems with far more rows than columns (the alignment dual LP is the
-motivating case: N*M*l inequalities over N*l + M variables) are solved through
-their LP dual: the dual has one row per original variable, so the simplex
-basis stays small, and the original primal/dual pair is recovered exactly from
-the dual solve.  `solve_lp(..., orientation=...)` controls this explicitly.
+motivating case: N*M*l inequalities over N*l + M variables) and only [0, inf)
+or free variables are solved through their LP dual: the dual has one row per
+original variable, so the simplex basis stays small, and the original
+primal/dual pair is recovered exactly from the dual solve.  Thresholds
+(`wassalign.tolerance`) are REL * max|c| on reduced costs and REL * max|b| on
+primal values, so the pivot rules do not depend on the units of c or b.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from wassalign import tolerance
+
 __all__ = [
     "LpProblem",
     "LpSolution",
@@ -36,9 +40,6 @@ __all__ = [
     "check_solution",
 ]
 
-FEAS_TOL = 1e-8
-PIVOT_TOL = 1e-11
-GAP_TOL = 1e-7
 REFACTOR_PERIOD = 50
 MAX_ITERATIONS = 500_000
 
@@ -343,22 +344,24 @@ class _Simplex:
         self.x_B = sf.b.copy()
         self.iterations = 0
         self.pivots_since_refactor = 0
-        self.redundant_rows = np.zeros(sf.m, dtype=bool)
+        # primal values: feasibility, Phase I residual and ratio-test ties
+        self.feas_tol = tolerance.of(sf.b)
 
-    def refactor(self) -> bool:
+    def refactor(self) -> None:
+        """Recompute the basis inverse; a singular basis keeps the updated one."""
         B = self.sf.A[:, self.basis].toarray()
         try:
             self.Binv = np.linalg.inv(B)
         except np.linalg.LinAlgError:
-            return False
+            return
         self.x_B = self.Binv @ self.sf.b
         np.maximum(self.x_B, 0.0, out=self.x_B)
         self.pivots_since_refactor = 0
-        return True
 
     def start_from(self, basis) -> bool:
-        """Adopt a start basis if it factors, is primal feasible within
-        FEAS_TOL and holds no artificial above it; otherwise change nothing."""
+        """Adopt a start basis if it factors, is primal feasible within the
+        feasibility threshold and holds no artificial above it; otherwise
+        change nothing."""
         sf = self.sf
         basis = np.asarray(basis)
         if basis.shape != (sf.m,) or not np.issubdtype(basis.dtype, np.integer):
@@ -372,11 +375,11 @@ class _Simplex:
             Binv = np.linalg.inv(B)
         except np.linalg.LinAlgError:
             return False
-        if not np.all(np.isfinite(Binv)) or np.abs(B @ Binv - np.eye(sf.m)).max() > FEAS_TOL:
+        residual = np.abs(B @ Binv - np.eye(sf.m)).max()
+        if not np.all(np.isfinite(Binv)) or residual > tolerance.FACTOR_TOL:
             return False
         x_B = Binv @ sf.b
-        tol = FEAS_TOL * (1.0 + float(np.abs(sf.b).max(initial=0.0)))
-        if x_B.min() < -tol or np.any(x_B[sf.is_artificial[basis]] > tol):
+        if x_B.min() < -self.feas_tol or np.any(x_B[sf.is_artificial[basis]] > self.feas_tol):
             return False
         self.basis = basis.astype(np.int64)
         self.in_basis[:] = False
@@ -403,7 +406,7 @@ class _Simplex:
     def run_phase(self, c_phase: np.ndarray, enterable: np.ndarray, bland_after: int):
         """Minimize c_phase over the standard form; returns a status string."""
         sf = self.sf
-        dtol = 1e-9 * (1.0 + float(np.abs(c_phase).max(initial=0.0)))
+        dtol = tolerance.of(c_phase)
         while True:
             if self.iterations > MAX_ITERATIONS:
                 return "failed: iteration limit"
@@ -424,7 +427,7 @@ class _Simplex:
                 j = int(j)
                 idx, vals = sf.column(j)
                 a_hat = self.Binv[:, idx] @ vals
-                pos = a_hat > PIVOT_TOL
+                pos = a_hat > tolerance.PIVOT_TOL
                 if not pos.any():
                     if a_hat.max(initial=-np.inf) > 0.0:
                         continue  # only sub-threshold pivots in this column: try another
@@ -432,7 +435,7 @@ class _Simplex:
                 ratios = np.full(sf.m, np.inf)
                 ratios[pos] = self.x_B[pos] / a_hat[pos]
                 theta = ratios.min()
-                cand = np.flatnonzero(ratios <= theta + 1e-10)
+                cand = np.flatnonzero(ratios <= theta + self.feas_tol)
                 if use_bland:
                     r = int(cand[np.argmin(self.basis[cand])])
                 else:
@@ -442,7 +445,9 @@ class _Simplex:
                 pivoted = True
                 break
             if not pivoted:
-                return "failed: no admissible pivot above 1e-11"
+                # every improving column's positive entries are rounding noise:
+                # numerically, each of these columns is a ray
+                return "unbounded"
 
     def drive_out_artificials(self) -> None:
         sf = self.sf
@@ -453,12 +458,10 @@ class _Simplex:
             row_vec[sf.is_artificial] = 0.0
             row_vec[self.in_basis] = 0.0
             j = int(np.argmax(np.abs(row_vec)))
-            if abs(row_vec[j]) > 1e-9:
+            # otherwise the row is dependent and its artificial stays basic at 0
+            if abs(row_vec[j]) > tolerance.DRIVE_OUT_TOL:
                 idx, vals = sf.column(j)
-                a_hat = self.Binv[:, idx] @ vals
-                self._pivot(j, r, a_hat)
-            else:
-                self.redundant_rows[r] = True  # row is dependent; artificial stays at 0
+                self._pivot(j, r, self.Binv[:, idx] @ vals)
 
 
 def _solve_direct(p: LpProblem, start=None) -> LpSolution:
@@ -481,7 +484,7 @@ def _solve_direct(p: LpProblem, start=None) -> LpSolution:
                 LpStatus.FAILED, iterations=sx.iterations, message="phase-1 unbounded"
             )
         phase1_obj = float(c1[sx.basis] @ sx.x_B)
-        if phase1_obj > FEAS_TOL * (1.0 + float(np.abs(sf.b).max(initial=0.0))):
+        if phase1_obj > sx.feas_tol:
             return LpSolution(LpStatus.INFEASIBLE, iterations=sx.iterations)
         sx.drive_out_artificials()
 
@@ -536,47 +539,28 @@ def check_solution(p: LpProblem, sol: LpSolution) -> dict:
     if sol.status is not LpStatus.OPTIMAL:
         raise ValueError("check_solution expects an optimal solution")
     x, y = sol.primal, sol.dual_rows
-    A = p.matrix()
-    ax = A @ x
-    rhs = p.rhs_vector()
-    viol = 0.0
-    slack = ax - rhs
-    for i, rel in enumerate(p.relations()):
-        if rel == "<=":
-            viol = max(viol, slack[i])
-        elif rel == ">=":
-            viol = max(viol, -slack[i])
-        else:
-            viol = max(viol, abs(slack[i]))
-    viol = max(viol, float(np.max(p.lower - x, initial=0.0)))
-    viol = max(viol, float(np.max(x - p.upper, initial=0.0)))
+    codes, rhs = p._rows_flat()[3:]
+    slack = p.matrix() @ x - rhs
+    sense = 1.0 - codes  # +1 on <= rows, 0 on == rows, -1 on >= rows
+    viol = max(
+        float(np.max(np.where(sense == 0.0, np.abs(slack), sense * slack), initial=0.0)),
+        float(np.max(p.lower - x, initial=0.0)),
+        float(np.max(x - p.upper, initial=0.0)),
+    )
 
-    z = _reduced_costs(p, y)
+    # minimization convention: z_j >= 0 at lower bound, <= 0 at upper
+    s = -1.0 if p.maximize else 1.0
+    z = s * _reduced_costs(p, y)
     scale = 1.0 + float(np.abs(p.objective).max(initial=0.0))
-    dviol = 0.0
-    at_lower = x <= p.lower + 1e-7
-    at_upper = x >= p.upper - 1e-7
-    for j in range(p.n_vars):
-        zj = z[j] if not p.maximize else -z[j]
-        # minimization convention: z_j >= 0 at lower bound, <= 0 at upper
-        if at_lower[j] and at_upper[j]:
-            continue
-        if at_lower[j]:
-            dviol = max(dviol, -zj)
-        elif at_upper[j]:
-            dviol = max(dviol, zj)
-        else:
-            dviol = max(dviol, abs(zj))
-    # row multiplier signs and complementary slackness
-    comp = 0.0
-    for i, rel in enumerate(p.relations()):
-        yi = y[i]
-        comp = max(comp, abs(yi * slack[i]))
-        s = -1.0 if p.maximize else 1.0
-        if rel == "<=":
-            dviol = max(dviol, s * yi)  # min: y <= 0 on <= rows; max: y >= 0
-        elif rel == ">=":
-            dviol = max(dviol, -s * yi)
+    bound_tol = tolerance.of(x, p.lower[np.isfinite(p.lower)], p.upper[np.isfinite(p.upper)])
+    at_lower = x <= p.lower + bound_tol
+    at_upper = x >= p.upper - bound_tol
+    var_viol = np.where(at_lower, -z, np.where(at_upper, z, np.abs(z)))
+    var_viol[at_lower & at_upper] = 0.0
+    # row multiplier signs (min: y <= 0 on <= rows, y >= 0 on >= rows) and
+    # complementary slackness
+    dviol = max(float(np.max(var_viol, initial=0.0)), float(np.max(s * sense * y, initial=0.0)))
+    comp = float(np.max(np.abs(y * slack), initial=0.0))
     gap = abs(sol.objective - sol.dual_objective)
     return {
         "primal_infeasibility": float(viol),
@@ -597,37 +581,32 @@ def _swap_eligible(p: LpProblem) -> bool:
 def _dual_problem(p: LpProblem):
     """LP dual of p (for variables bounded [0, inf) or free).
 
-    Returns (dual LpProblem, target_sign) where the dual is posed so that each
-    original row r corresponds to dual variable r (>= rows carry a flipped
-    sign, recorded in row_flip) and each original variable j to dual row j.
+    Returns (dual LpProblem, obj_sign, row_flip, order): original row r is
+    dual variable r (>= rows carry a flipped sign, recorded in row_flip), and
+    dual row i is original variable order[i], the free variables' "==" rows
+    first, then the ">=" rows of the others.
     """
     # normalize to a max problem
     obj_sign = 1.0 if p.maximize else -1.0
     c = obj_sign * p.objective
-    rel = p.relations()
-    rhs = p.rhs_vector()
-    m, n = p.n_rows, p.n_vars
+    codes = p._rows_flat()[3]
 
-    row_flip = np.array([-1.0 if r == ">=" else 1.0 for r in rel])
-    dual = LpProblem(m, objective=row_flip * rhs, maximize=False)
-    lower = np.zeros(m)
-    for i, r in enumerate(rel):
-        if r == "==":
-            lower[i] = -np.inf
-    dual.set_bounds(lower=lower)
+    row_flip = np.where(codes == _RELATIONS.index(">="), -1.0, 1.0)
+    dual = LpProblem(p.n_rows, objective=row_flip * p.rhs_vector(), maximize=False)
+    dual.set_bounds(lower=np.where(codes == _RELATIONS.index("=="), -np.inf, 0.0))
 
     At = p.matrix().T.tocsr()  # (n_vars, n_rows)
+    At.data *= row_flip[At.indices]
     free = np.isneginf(p.lower)
-    for j in range(n):
-        lo, hi = At.indptr[j], At.indptr[j + 1]
-        cols = At.indices[lo:hi]
-        vals = At.data[lo:hi] * row_flip[cols]
-        dual.add_row(cols, vals, "==" if free[j] else ">=", c[j])
-    return dual, obj_sign, row_flip
+    order = np.concatenate([np.flatnonzero(free), np.flatnonzero(~free)])
+    n_free = int(free.sum())
+    dual.add_rows(At[order[:n_free]], "==", c[order[:n_free]])
+    dual.add_rows(At[order[n_free:]], ">=", c[order[n_free:]])
+    return dual, obj_sign, row_flip, order
 
 
 def _solve_swapped(p: LpProblem) -> LpSolution:
-    dual, obj_sign, row_flip = _dual_problem(p)
+    dual, obj_sign, row_flip, order = _dual_problem(p)
     dsol = _solve_direct(dual)
     if dsol.status is LpStatus.UNBOUNDED:
         return LpSolution(LpStatus.INFEASIBLE, iterations=dsol.iterations)
@@ -640,7 +619,8 @@ def _solve_swapped(p: LpProblem) -> LpSolution:
     if dsol.status is not LpStatus.OPTIMAL:
         return LpSolution(dsol.status, iterations=dsol.iterations, message=dsol.message)
 
-    primal = np.asarray(dsol.dual_rows)
+    primal = np.empty(p.n_vars)
+    primal[order] = dsol.dual_rows
     y = obj_sign * row_flip * dsol.primal
     obj = float(p.objective @ primal)
     return LpSolution(
@@ -653,20 +633,19 @@ def _solve_swapped(p: LpProblem) -> LpSolution:
     )
 
 
-def solve_lp(p: LpProblem, orientation: str = "auto", start=None) -> LpSolution:
+def solve_lp(p: LpProblem, start=None) -> LpSolution:
     """Solve an LpProblem exactly.
 
-    orientation: "auto" picks the swapped (dualized) solve for very tall
-    problems; "direct"/"swap" force one path.  start: the `basis` of an
-    earlier optimal solution, typically of a problem with the same rows and
-    rhs and another objective; Phase II starts from it when it factors, is
-    primal feasible and holds no artificial above zero, and Phase I runs
-    otherwise.  A start applies to the direct orientation only.  Solutions
-    are deterministic for a fixed input and start.
+    Very tall problems whose variables are all [0, inf) or free are solved
+    through their LP dual (the swapped orientation), the others directly.
+    start: the `basis` of an earlier optimal solution, typically of a
+    problem with the same rows and rhs and another objective; Phase II
+    starts from it when it factors, is primal feasible and holds no
+    artificial above zero, and Phase I runs otherwise.  A start applies to
+    the direct orientation only.  Solutions are deterministic for a fixed
+    input and start.
     """
-    if orientation not in ("auto", "direct", "swap"):
-        raise ValueError(f"unknown orientation {orientation!r}")
-    if orientation == "swap" or (orientation == "auto" and _swap_eligible(p)):
+    if _swap_eligible(p):
         if start is not None:
             raise ValueError("a start basis applies to the direct orientation only")
         return _solve_swapped(p)

@@ -12,6 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from wassalign import tolerance
+
 __all__ = [
     "DiscreteMeasure",
     "FamilyEntry",
@@ -30,8 +32,6 @@ __all__ = [
     "igw_family",
 ]
 
-# Loose tolerance for user-supplied weights; stored weights are renormalized.
-WEIGHT_SUM_TOL = 1e-9
 # Covariance eigenvalues below this floor mean the support is degenerate.
 COV_EIG_FLOOR = 1e-12
 STIEFEL_TOL = 1e-10
@@ -127,7 +127,7 @@ def new_measure(points, weights=None) -> DiscreteMeasure:
         if np.any(w < 0):
             raise ValueError("negative weight")
         total = w.sum()
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        if abs(total - 1.0) > tolerance.WEIGHT_SUM_TOL:
             raise ValueError(f"weight-sum deviation: weights sum to {total!r}, expected 1")
         w = w / total
     return DiscreteMeasure(pts, w)

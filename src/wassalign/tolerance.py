@@ -1,0 +1,25 @@
+"""Every threshold of `lp`, `ot` and `alignment`, kept in one place.
+
+A threshold on values -- costs, objectives, reduced costs, right-hand sides,
+potentials -- is REL times the size of the data it compares (`of`), so
+answers do not depend on units.  Masses and basis-matrix entries are
+unit-free (weights sum to 1; the library's constraint matrices hold only 0,
++-1 and weights), so their thresholds are absolute.
+"""
+
+import numpy as np
+
+REL = 1e-9
+
+MARGINAL_TOL = 1e-8  # masses: plan row and column sums against the weights
+WEIGHT_SUM_TOL = 1e-9  # masses: a weight vector's sum against 1 (then renormalized)
+PLAN_ZERO = 1e-12  # masses: plan entries at or below this are empty cells
+PIVOT_TOL = 1e-11  # basis-matrix entries: smallest admissible pivot
+DRIVE_OUT_TOL = 1e-9  # basis-matrix entries: smallest pivot that drives out an artificial
+FACTOR_TOL = 1e-8  # basis-matrix entries: largest |B inv(B) - I| of a start basis
+DUAL_FEAS_TOL = 1e-8  # phi_i + psi_j - C_ij of OT potentials, on costs of unit size
+
+
+def of(*data) -> float:
+    """REL times the largest magnitude among data (numbers or arrays)."""
+    return REL * max(float(np.max(np.abs(d), initial=0.0)) for d in data)

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from wassalign.lp import LpProblem, LpStatus, check_solution, solve_lp
+from wassalign.lp import (
+    LpProblem,
+    LpStatus,
+    _solve_direct,
+    _solve_swapped,
+    check_solution,
+    solve_lp,
+)
 from wassalign.measures import CostSpec, pairwise_cost, rotation_grid
 
 
@@ -27,6 +34,24 @@ def test_single_variable_infeasible():
 def test_unbounded():
     p = LpProblem(1, objective=[1.0], maximize=True)
     p.add_row([0], [-1.0], "<=", 1.0)
+    assert solve_lp(p).status is LpStatus.UNBOUNDED
+
+
+def test_unbounded_when_improving_columns_hold_only_rounding_noise():
+    # every improving column's positive entries are below the pivot
+    # threshold (2.2e-16 and 2.7e-16): numerically rays, not a breakdown;
+    # HiGHS calls this LP unbounded too
+    inf = np.inf
+    c = [0.27570834527555244, 0.8655248456936989, -1.4798242262177546,
+         -0.7558712675766475, -1.8836038440642882, -0.46224003363222077]
+    a = [0.1422902382340424, 0.7267094461699152, -0.06955607301001486,
+         1.849907328238929, -0.5184754494042344, -1.336475732124564]
+    lower = [-0.8286698928811695, 0, -0.8198078246325666, -0.22520822552887187, 0,
+             -0.6263962857266376]
+    upper = [0.12791210313264467, inf, inf, inf, 1.8702822806350956, 0.8580414458994396]
+    p = LpProblem(6, objective=c)
+    p.set_bounds(lower=lower, upper=upper)
+    p.add_row(np.arange(6), a, "==", 0.3596600642099543)
     assert solve_lp(p).status is LpStatus.UNBOUNDED
 
 
@@ -231,6 +256,27 @@ def test_objective_scaling_leaves_primal_unchanged():
     assert s2.objective == pytest.approx(2.0 * s1.objective, rel=1e-12)
 
 
+@pytest.mark.parametrize("s", [1e-10, 1e10])
+def test_rhs_and_bounds_scaling_scales_the_primal(s):
+    # b and the bounds scaled by s scale the feasible set by s: the status is
+    # the same, and the primal and the objective scale by s
+    rng = np.random.default_rng(11)
+    for _ in range(6):
+        p1, A, b = _random_box_lp(rng, maximize=False)
+        p2 = LpProblem(4, objective=p1.objective)
+        p2.set_bounds(lower=s * p1.lower, upper=s * p1.upper)
+        p2.add_rows(sp.csr_matrix(A), "<=", s * b)
+        s1, s2 = solve_lp(p1), solve_lp(p2)
+        assert s2.status is s1.status is LpStatus.OPTIMAL
+        np.testing.assert_allclose(s2.primal / s, s1.primal, rtol=1e-9, atol=1e-12)
+        assert s2.objective / s == pytest.approx(s1.objective, rel=1e-9)
+    # x0 <= s and x0 >= 2 s: infeasible at every scale
+    p = LpProblem(1, objective=[1.0])
+    p.add_row([0], [1.0], "<=", s)
+    p.add_row([0], [1.0], ">=", 2.0 * s)
+    assert solve_lp(p).status is LpStatus.INFEASIBLE
+
+
 def test_deterministic_resolve():
     rng = np.random.default_rng(17)
     p, _, _ = _random_box_lp(rng, maximize=False)
@@ -259,8 +305,8 @@ def test_swap_matches_direct_on_tall_problems():
     rng = np.random.default_rng(23)
     for _ in range(10):
         p = _tall_problem(rng)
-        sd = solve_lp(p, orientation="direct")
-        ss = solve_lp(p, orientation="swap")
+        sd = _solve_direct(p)
+        ss = _solve_swapped(p)
         assert sd.status is LpStatus.OPTIMAL
         assert ss.status is LpStatus.OPTIMAL
         assert ss.objective == pytest.approx(sd.objective, abs=1e-8)
@@ -271,10 +317,29 @@ def test_swap_matches_direct_on_tall_problems():
             assert res["duality_gap"] <= 1e-7 * (1.0 + abs(sol.objective))
 
 
+def test_swap_keeps_variable_order_with_free_and_nonnegative_variables():
+    # the dual poses the free variables' rows ("==") and the others' (">=")
+    # as two blocks; the primal must come back in the original order
+    rng = np.random.default_rng(37)
+    optimal = 0
+    for _ in range(8):
+        p = _tall_problem(rng)
+        p.set_bounds(lower=np.where(rng.uniform(size=p.n_vars) < 0.5, 0.0, -np.inf))
+        sd, ss = _solve_direct(p), _solve_swapped(p)
+        assert ss.status is sd.status
+        if sd.status is LpStatus.OPTIMAL:
+            optimal += 1
+            assert ss.objective == pytest.approx(sd.objective, abs=1e-8)
+            res = check_solution(p, ss)
+            assert res["primal_infeasibility"] <= 1e-8
+            assert res["duality_gap"] <= 1e-7 * (1.0 + abs(ss.objective))
+    assert optimal >= 4
+
+
 def test_swap_detects_infeasible():
     p = LpProblem(1, objective=[1.0], maximize=True)
     p.add_row([0], [1.0], "<=", -1.0)
-    assert solve_lp(p, orientation="swap").status is LpStatus.INFEASIBLE
+    assert _solve_swapped(p).status is LpStatus.INFEASIBLE
 
 
 def test_auto_orientation_triggers_on_tall_problems():
@@ -286,7 +351,7 @@ def test_auto_orientation_triggers_on_tall_problems():
         nz = rng.choice(n, size=2, replace=False)
         p.add_row(nz, rng.normal(size=2), "<=", float(rng.uniform(0.5, 2.0)))
     sol = solve_lp(p)  # auto: swapped, small basis
-    sol_direct = solve_lp(p, orientation="direct")
+    sol_direct = _solve_direct(p)
     assert sol.status is sol_direct.status
     if sol.status is LpStatus.OPTIMAL:
         assert sol.objective == pytest.approx(sol_direct.objective, abs=1e-8)
@@ -413,11 +478,11 @@ def test_start_with_a_basic_artificial_at_zero_stays_feasible():
 
 def test_start_is_refused_on_the_swapped_orientation():
     rng = np.random.default_rng(47)
-    p = _tall_problem(rng)
-    basis = solve_lp(p, orientation="direct").basis
+    p = _tall_problem(rng, m=1400)  # tall enough to be solved swapped
+    basis = _solve_direct(p).basis
     with pytest.raises(ValueError, match="direct orientation"):
-        solve_lp(p, orientation="swap", start=basis)
-    assert solve_lp(p, orientation="swap").basis is None
+        solve_lp(p, start=basis)
+    assert _solve_swapped(p).basis is None
 
 
 def test_warm_resolve_is_deterministic():

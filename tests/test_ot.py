@@ -12,14 +12,13 @@ from wassalign.measures import (
     whiten,
 )
 from wassalign.ot import (
-    DUAL_FEAS_TOL,
-    MARGINAL_TOL,
     PotentialPair,
     c_transform,
     cbar_transform,
     wasserstein,
     wasserstein_1d,
 )
+from wassalign.tolerance import DUAL_FEAS_TOL, MARGINAL_TOL
 
 
 def test_trivial_singleton():
@@ -205,6 +204,12 @@ def test_1d_zero_weights_match_lp():
         assert fast.potentials.objective(p, q) == pytest.approx(fast.value, abs=1e-9)
     with pytest.raises(ValueError):
         wasserstein_1d([0.0, 1.0], [1.5, -0.5], [0.0], [1.0])
+
+
+def test_1d_nan_point_fails_verification():
+    # a NaN coordinate makes the duality gap NaN, which must not pass the check
+    with pytest.raises(ArithmeticError):
+        wasserstein_1d([0.0, np.nan], [0.5, 0.5], [0.0, 1.0], [0.5, 0.5])
 
 
 # -- metric and stability properties -----------------------------------------

@@ -16,7 +16,7 @@ from wassalign.measures import (
     stiefel_validate,
     whiten,
 )
-from wassalign.lp import LpProblem, LpSolution, LpSolverError, LpStatus, solve_lp
+from wassalign.lp import LpSolution, LpSolverError, LpStatus, TransportLp, solve_lp
 from wassalign.ot import (
     OtResult,
     PotentialPair,

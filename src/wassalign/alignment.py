@@ -30,6 +30,12 @@ into an optimal dual point whose objective equals the brute-force value, so
 weak duality certifies it.  `align` is built on that assembly: one exact OT
 solve per family entry, one assembled dual, one argmin rule; the joint LP
 (`solve_dual(method="lp")`) and the relaxed primal are the cross-checks.
+
+Solvers: the per-entry OT solves use `wassalign.ot` (the warm-started
+transport simplex of `wassalign.lp`, or the quantile solver on the line).
+The two cross-check LPs are general LPs; they go to the HiGHS dual simplex
+(`scipy.optimize.linprog`), a solver independent of `align`'s own, imported
+inside the two functions so that `align` and the CLI never load scipy.
 """
 
 from __future__ import annotations
@@ -38,10 +44,9 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from wassalign import tolerance
-from wassalign.lp import LpProblem, LpSolverError, LpStatus, solve_lp
+from wassalign.lp import LpSolverError
 from wassalign.measures import CostSpec, CostTensor, DiscreteMeasure, pairwise_cost
 from wassalign.ot import (
     OtResult,
@@ -176,6 +181,11 @@ def _folded_size(largest_costs, penalties) -> float:
     return float(np.max(np.asarray(largest_costs) + np.abs(penalties)))
 
 
+def _tensor_size(ct: CostTensor) -> float:
+    """_folded_size of a cost tensor."""
+    return _folded_size(np.abs(ct.values).max(axis=(0, 1)), ct.penalties)
+
+
 def _argmin_set(values: np.ndarray, size: float) -> list:
     """Ascending indices within tolerance.of(size) of the minimum of values."""
     cut = float(values.min()) + tolerance.of(size)
@@ -232,7 +242,7 @@ def per_entry_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, ct: CostTensor):
 def brute_force(mu: DiscreteMeasure, nu: DiscreteMeasure, ct: CostTensor) -> BruteForceResult:
     """Literal minimum over the family of per-entry OT value plus penalty."""
     per_theta, _ = per_entry_ot(mu, nu, ct)
-    size = _folded_size(np.abs(ct.values).max(axis=(0, 1)), ct.penalties)
+    size = _tensor_size(ct)
     return BruteForceResult(_argmin_set(per_theta, size), float(per_theta.min()), per_theta)
 
 
@@ -244,10 +254,11 @@ def solve_dual(
 ) -> AlignmentDual:
     """Solve the alignment dual exactly.
 
-    method: "lp" poses the joint (xi, psi) LP and runs the simplex, the
-    independent cross-check of the assembled dual; "certificate" assembles
-    an optimal dual point from the per-entry OT potentials, exact by a
-    weak-duality certificate, as `align` does.
+    method: "lp" poses the joint (xi, psi) LP and solves it with the HiGHS
+    dual simplex, the independent cross-check of the assembled dual (this
+    route imports scipy); "certificate" assembles an optimal dual point from
+    the per-entry OT potentials, exact by a weak-duality certificate, as
+    `align` does.
     """
     if method == "lp":
         return _solve_dual_lp(mu.weights, nu.weights, ct)
@@ -259,14 +270,20 @@ def solve_dual(
 
 
 def _solve_dual_lp(p: np.ndarray, q: np.ndarray, ct: CostTensor) -> AlignmentDual:
+    """The joint (xi, psi) LP, solved by the HiGHS dual simplex.
+
+    HiGHS's tolerances are absolute, so the folded costs are divided by
+    their size before the solve and the solution is multiplied back.
+    """
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
+
     N, M, l = ct.shape
-    folded = ct.folded()
+    size = _tensor_size(ct) or 1.0  # all-zero costs: nothing to scale
     n_vars = N * l + M * l
     obj = np.zeros(n_vars)
     obj[np.arange(N) * l] = p  # xi_{i, 0} carries the source integral
     obj[N * l + np.arange(M) * l] = q  # psi_{j, 0} the target integral
-    prob = LpProblem(n_vars, objective=obj, maximize=True)
-    prob.set_bounds(lower=-np.inf)
 
     xi_cols = np.arange(N * l).reshape(N, l)
     psi_cols = (N * l + np.arange(M * l)).reshape(M, l)
@@ -283,8 +300,8 @@ def _solve_dual_lp(p: np.ndarray, q: np.ndarray, ct: CostTensor) -> AlignmentDua
         (np.ones(2 * n_pairs), pair_cols, np.arange(0, 2 * n_pairs + 1, 2)),
         shape=(n_pairs, n_vars),
     )
-    prob.add_rows(pairs, "<=", folded.transpose(0, 2, 1).ravel())
     # mean consistency: for k >= 1, an xi row then a psi row, each against entry 0
+    means = None
     if l > 1:
         xi_rows = np.hstack([xi_cols[:, 1:].T, np.broadcast_to(xi_cols[:, 0], (l - 1, N))])
         psi_rows = np.hstack([psi_cols[:, 1:].T, np.broadcast_to(psi_cols[:, 0], (l - 1, M))])
@@ -292,14 +309,20 @@ def _solve_dual_lp(p: np.ndarray, q: np.ndarray, ct: CostTensor) -> AlignmentDua
         vals = np.tile(np.concatenate([p, -p, q, -q]), l - 1)
         indptr = np.concatenate([[0], np.cumsum(np.tile([2 * N, 2 * M], l - 1))])
         means = sp.csr_matrix((vals, cols, indptr), shape=(2 * (l - 1), n_vars))
-        prob.add_rows(means, "==", 0.0)
 
-    sol = solve_lp(prob)
-    if sol.status is not LpStatus.OPTIMAL:
-        raise LpSolverError(f"alignment dual LP status {sol.status.value}: {sol.message}")
-    xi = sol.primal[: N * l].reshape(N, l)
-    psi = sol.primal[N * l :].reshape(M, l)
-    return AlignmentDual(xi, psi, float(sol.objective))
+    res = linprog(
+        -obj,
+        A_ub=pairs,
+        b_ub=ct.folded().transpose(0, 2, 1).ravel() / size,
+        A_eq=means,
+        b_eq=None if means is None else np.zeros(means.shape[0]),
+        bounds=(None, None),
+        method="highs-ds",
+    )
+    if res.status != 0:
+        raise LpSolverError(f"alignment dual LP: {res.message}")
+    x = res.x * size
+    return AlignmentDual(x[: N * l].reshape(N, l), x[N * l :].reshape(M, l), -res.fun * size)
 
 
 def _assemble_dual(per_theta, pots, penalties, q, cost_rows) -> AlignmentDual:
@@ -337,14 +360,18 @@ def solve_relaxed_primal(
 
     Variables gamma[i, k, j] >= 0; rows fix the X- and Z-marginals and impose
     sum_j gamma_ikj = p_i r_k and sum_i gamma_ikj = q_j r_k, where r_k is the
-    theta-marginal mass of entry k.  This is the LP dual of solve_dual.
+    theta-marginal mass of entry k.  This is the LP dual of solve_dual.  It
+    is solved by the HiGHS dual simplex, which returns a vertex, on the
+    objective divided by the size of the folded costs.
     """
+    import scipy.sparse as sp
+    from scipy.optimize import linprog
+
     N, M, l = ct.shape
     p, q = mu.weights, nu.weights
-    folded = ct.folded()
+    size = _tensor_size(ct) or 1.0  # all-zero costs: nothing to scale
     n_vars = N * l * M
-    obj = np.ascontiguousarray(folded.transpose(0, 2, 1)).ravel()  # (i, k, j) order
-    prob = LpProblem(n_vars, objective=obj)
+    obj = ct.folded().transpose(0, 2, 1).ravel() / size  # (i, k, j) order
 
     def block(cols, vals, row_len):
         n_rows = cols.size // row_len
@@ -353,23 +380,27 @@ def solve_relaxed_primal(
 
     ones = np.ones(n_vars)
     cells = np.arange(n_vars).reshape(N, l, M)
-    prob.add_rows(block(cells.ravel(), ones, l * M), "==", p)
-    prob.add_rows(block(cells.transpose(2, 0, 1).ravel(), ones, N * l), "==", q)
     # channel k carries p_i r_k out of source i: rows (i, k) over entry k's cells
     entry_cols = cells.transpose(1, 0, 2).reshape(l, N * M)
-    vals = np.broadcast_to(-p[:, None, None, None], (N, l, N, M)).copy()
-    vals[np.arange(N), :, np.arange(N), :] += 1.0
-    prob.add_rows(block(np.tile(entry_cols, (N, 1)).ravel(), vals.ravel(), N * M), "==", 0.0)
+    from_source = np.broadcast_to(-p[:, None, None, None], (N, l, N, M)).copy()
+    from_source[np.arange(N), :, np.arange(N), :] += 1.0
     # and q_j r_k into target j: rows (j, k)
-    vals = np.broadcast_to(-q[:, None, None, None], (M, l, N, M)).copy()
-    vals[np.arange(M), :, :, np.arange(M)] += 1.0
-    prob.add_rows(block(np.tile(entry_cols, (M, 1)).ravel(), vals.ravel(), N * M), "==", 0.0)
-
-    sol = solve_lp(prob)
-    if sol.status is not LpStatus.OPTIMAL:
-        raise LpSolverError(f"relaxed primal LP status {sol.status.value}: {sol.message}")
-    gamma = sol.primal.reshape(N, l, M)
-    return RelaxedPrimal(float(sol.objective), gamma)
+    into_target = np.broadcast_to(-q[:, None, None, None], (M, l, N, M)).copy()
+    into_target[np.arange(M), :, :, np.arange(M)] += 1.0
+    A_eq = sp.vstack(
+        [
+            block(cells.ravel(), ones, l * M),
+            block(cells.transpose(2, 0, 1).ravel(), ones, N * l),
+            block(np.tile(entry_cols, (N, 1)).ravel(), from_source.ravel(), N * M),
+            block(np.tile(entry_cols, (M, 1)).ravel(), into_target.ravel(), N * M),
+        ],
+        format="csr",
+    )
+    b_eq = np.concatenate([p, q, np.zeros(N * l + M * l)])
+    res = linprog(obj, A_eq=A_eq, b_eq=b_eq, bounds=(0, None), method="highs-ds")
+    if res.status != 0:
+        raise LpSolverError(f"relaxed primal LP: {res.message}")
+    return RelaxedPrimal(float(res.fun) * size, res.x.reshape(N, l, M))
 
 
 # ---------------------------------------------------------------------------
@@ -384,10 +415,17 @@ def extract_theta(dual: AlignmentDual, ct: CostTensor, p: np.ndarray) -> ThetaEx
     (within tolerance) contains every entry carrying channel mass at the
     optimum.  Also verifies the slack witness: some argmin k must satisfy
     xi_ik = min_j (c_ijk + R_k - psi_jk) for every i.
+
+    On a joint-LP dual (`solve_dual(method="lp")`) k_star can be a strict
+    superset of the optimal entries: the columns of an entry without channel
+    mass need not be a Kantorovich pair of that entry, and its I-curve value
+    can sit at the minimum.  On test_tolerance's rotation instance with seed
+    1, k_star is [1, 2, 4, 5, 6, 7] against brute force's [2].  `align`'s
+    k_star is exact: it compares the per-entry OT values themselves.
     """
     psibar = _psibar_folded(dual.psi, ct.folded())
     i_curve = p @ psibar
-    size = _folded_size(np.abs(ct.values).max(axis=(0, 1)), ct.penalties)
+    size = _tensor_size(ct)
     k_star = _argmin_set(i_curve, size)
 
     witness_k = None

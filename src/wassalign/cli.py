@@ -1,6 +1,6 @@
-"""Command-line surface: align, ot, mixture-demo, validate.
+"""Command-line surface: align, ot, mixture-demo.
 
-Exit codes: 0 success, 1 input error, 2 solver failure, 3 validation failure.
+Exit codes: 0 success, 1 input error, 2 solver failure.
 Diagnostics go to stderr; results land in the files named by --out and
 friends, with a short summary on stdout.
 """
@@ -33,14 +33,12 @@ from wassalign.measures import (
 )
 from wassalign.normal import mixture_F, mixture_demo
 from wassalign.ot import wasserstein
-from wassalign.validate import run_all
 
 __all__ = ["main"]
 
 EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_SOLVER = 2
-EXIT_VALIDATE = 3
 
 
 def _load_measure(path: str):
@@ -198,16 +196,6 @@ def cmd_mixture_demo(args) -> int:
     return EXIT_OK
 
 
-def cmd_validate(args) -> int:
-    results = run_all(seed=args.seed, out=sys.stdout)
-    failed = [name for name, ok, _ in results if not ok]
-    if failed:
-        print(f"{len(failed)} properties failed: {', '.join(failed)}", file=sys.stderr)
-        return EXIT_VALIDATE
-    print(f"all {len(results)} properties passed")
-    return EXIT_OK
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wassalign",
@@ -242,10 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_mix.add_argument("--out", required=True, help="report JSON path")
     p_mix.add_argument("--curve", help="CSV path for the map-displacement curves")
     p_mix.set_defaults(fn=cmd_mixture_demo)
-
-    p_val = sub.add_parser("validate", help="run the built-in property suite")
-    p_val.add_argument("--seed", type=int, default=20240917)
-    p_val.set_defaults(fn=cmd_validate)
     return parser
 
 

@@ -1,11 +1,13 @@
 """Exact discrete optimal transport: values, plans, Kantorovich potentials.
 
-The transport LP is solved by the revised simplex in `wassalign.lp`; returned
-potentials are the LP row duals with the source side canonicalized through the
-cbar-transform, so that phi = psi^cbar holds exactly.  A separate quantile
-solver handles measures on the line, where the monotone coupling is optimal
-for costs |y - z|^p with p >= 1; it produces the same value/potential
-contracts at a fraction of the cost.
+The transport LP is solved by the warm-startable revised simplex in
+`wassalign.lp`; returned potentials are the LP row duals with the source side
+canonicalized through the cbar-transform, so that phi = psi^cbar holds
+exactly.  A separate quantile solver handles measures on the line, where the
+monotone coupling is optimal for costs |y - z|^p with p >= 1; it produces the
+same value/potential contracts at a fraction of the cost.  Both solvers take
+nonnegative weights whose sums are within WEIGHT_SUM_TOL of 1, and
+renormalize them.
 
 Transforms follow the asymmetric convention
     cbar_transform(psi)[i] = min_j (C[i, j] - psi[j])   (potential on sources)
@@ -17,10 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from wassalign import tolerance
-from wassalign.lp import LpProblem, LpSolverError, LpStatus, solve_lp
+from wassalign.lp import LpSolverError, LpStatus, TransportLp, solve_lp
 
 __all__ = [
     "TransportPlan",
@@ -107,22 +108,14 @@ def c_transform(phi: np.ndarray, C: np.ndarray) -> np.ndarray:
     return (C - phi[:, None]).min(axis=0)
 
 
-def _validate_weights(p, q, C):
-    p = np.asarray(p, dtype=float)
-    q = np.asarray(q, dtype=float)
-    C = np.asarray(C, dtype=float)
-    if C.ndim != 2:
-        raise ValueError(f"cost must be a matrix, got shape {C.shape}")
-    if p.shape != (C.shape[0],) or q.shape != (C.shape[1],):
-        raise ValueError(
-            f"weights ({p.shape}, {q.shape}) do not match cost shape {C.shape}"
-        )
-    for w, name in ((p, "p"), (q, "q")):
-        if np.any(w < 0) or abs(w.sum() - 1.0) > tolerance.WEIGHT_SUM_TOL:
-            raise ValueError(f"{name} is not a probability vector")
-    if not np.all(np.isfinite(C)):
-        raise ValueError("non-finite cost entry")
-    return p, q, C
+def _probability(w, name: str) -> np.ndarray:
+    """w renormalized to sum 1, after checking that it is nonnegative and
+    sums to 1 within WEIGHT_SUM_TOL."""
+    w = np.asarray(w, dtype=float)
+    total = w.sum()
+    if np.any(w < 0) or not abs(total - 1.0) <= tolerance.WEIGHT_SUM_TOL:
+        raise ValueError(f"{name} is not a probability vector")
+    return w / total
 
 
 def wasserstein(p, q, C, start=None) -> OtResult:
@@ -140,26 +133,17 @@ def wasserstein(p, q, C, start=None) -> OtResult:
     the plan and potentials may be another optimal vertex and dual pair.
 
     Raises:
+        ValueError: p or q is not a probability vector, or the shapes of p,
+            q and C do not match, or C is not finite.
         LpSolverError: the inner LP solve did not return an optimal status.
     """
-    p, q, C = _validate_weights(p, q, C)
-    N, M = C.shape
-    prob = LpProblem(N * M, objective=C.ravel())
-    cells = np.arange(N * M)
-    ones = np.ones(N * M)
-    # row i sums the cells of source i, row N + j those of target j
-    by_source = sp.csr_matrix((ones, cells, np.arange(0, N * M + 1, M)), shape=(N, N * M))
-    by_target = sp.csr_matrix(
-        (ones, cells.reshape(N, M).T.ravel(), np.arange(0, N * M + 1, N)), shape=(M, N * M)
-    )
-    prob.add_rows(by_source, "==", p)
-    prob.add_rows(by_target, "==", q)
+    prob = TransportLp(C, _probability(p, "p"), _probability(q, "q"))
     sol = solve_lp(prob, start=start)
     if sol.status is not LpStatus.OPTIMAL:
         raise LpSolverError(f"transport LP ended with status {sol.status.value}: {sol.message}")
-    plan = TransportPlan(sol.primal.reshape(N, M))
-    psi = sol.dual_rows[N:]
-    phi = cbar_transform(psi, C)
+    plan = TransportPlan(sol.primal.reshape(prob.cost.shape))
+    psi = sol.dual_rows[prob.p.size :]
+    phi = cbar_transform(psi, prob.cost)
     return OtResult(float(sol.objective), plan, PotentialPair(phi, psi), basis=sol.basis)
 
 
@@ -231,23 +215,21 @@ def _propagate_potentials(cost_edge, prop_edges, N, M):
 def wasserstein_1d(y, p, z, q, power: float = 2.0, return_plan: bool = True) -> OtResult:
     """Exact OT on the line for the cost |y - z|^power, power >= 1.
 
-    Weights are nonnegative, as for `wasserstein`; a zero-weight atom still
-    gets a potential.  The monotone (quantile) coupling is optimal for convex
-    costs.  psi is propagated along the coupling's staircase and, as in
-    `wasserstein`, phi = cbar_transform(psi), which is dual feasible by
-    construction; the duality gap to the primal value is then checked
-    against the tolerance of the largest cost (ArithmeticError if it fails).
+    Weights are checked and renormalized as for `wasserstein`; a zero-weight
+    atom still gets a potential.  The monotone (quantile) coupling is
+    optimal for convex costs.  psi is propagated along the coupling's
+    staircase and, as in `wasserstein`, phi = cbar_transform(psi), which is
+    dual feasible by construction; the duality gap to the primal value is
+    then checked against the tolerance of the largest cost (ArithmeticError
+    if it fails).
     """
     y = np.asarray(y, dtype=float).ravel()
     z = np.asarray(z, dtype=float).ravel()
-    p = np.asarray(p, dtype=float).ravel()
-    q = np.asarray(q, dtype=float).ravel()
+    p, q = _probability(np.ravel(p), "p"), _probability(np.ravel(q), "q")
     if power < 1.0:
         raise ValueError("power must be >= 1")
     if y.shape != p.shape or z.shape != q.shape:
         raise ValueError("points and weights length mismatch")
-    if np.any(p < 0) or np.any(q < 0):
-        raise ValueError("wasserstein_1d requires nonnegative weights")
 
     order_y = np.argsort(y, kind="stable")
     order_z = np.argsort(z, kind="stable")

@@ -3,8 +3,9 @@
 A threshold on values -- costs, objectives, reduced costs, right-hand sides,
 potentials -- is REL times the size of the data it compares (`of`), so
 answers do not depend on units.  Masses and basis-matrix entries are
-unit-free (weights sum to 1; the library's constraint matrices hold only 0,
-+-1 and weights), so their thresholds are absolute.
+unit-free (weights sum to 1; the transport simplex's constraint matrix holds
+only 0 and 1), so their thresholds are absolute.  The two cross-check LPs
+of `alignment` pass no thresholds to HiGHS; they scale their costs instead.
 """
 
 import numpy as np

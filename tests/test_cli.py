@@ -188,10 +188,6 @@ def test_mixture_demo_command(tmp_path, capsys):
     assert np.max(np.abs(data[:, 1])) <= 1e-9
 
 
-def test_validate_command_passes():
-    assert main(["validate"]) == 0
-
-
 def test_parse_cost_specs():
     assert parse_cost("sq-euclidean").kind == "sq-euclidean"
     assert parse_cost("power:1.5").p == 1.5

@@ -24,23 +24,39 @@ def test_module_imports_only_public_names(module):
     assert private == []
 
 
-def test_cli_and_align_leave_scipy_optimize_unloaded():
-    # importing scipy.optimize after wassalign.cli grows a process from 51.2
-    # to 76.9 MB RSS (Python 3.11, scipy 1.17); a 40x25x128 CLI registration
-    # peaks at 78 MB, so HiGHS through linprog would add a third to every call
-    code = (
-        "import sys\n"
-        "import numpy as np\n"
-        "import wassalign.cli\n"
-        "from wassalign import CostSpec, align, new_measure, rotation_grid\n"
-        "rng = np.random.default_rng(0)\n"
-        "mu, nu = new_measure(rng.normal(size=(6, 2))), new_measure(rng.normal(size=(5, 2)))\n"
-        "align(mu, nu, rotation_grid(4), CostSpec.squared_euclidean())\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy.optimize')))\n"
-    )
+ALIGN_AFTER_CLI_IMPORT = (
+    "import sys\n"
+    "import numpy as np\n"
+    "import wassalign.cli\n"
+    "from wassalign import CostSpec, align, build_cost_tensor, new_measure, rotation_grid, solve_dual\n"
+    "rng = np.random.default_rng(0)\n"
+    "mu, nu = new_measure(rng.normal(size=(6, 2))), new_measure(rng.normal(size=(5, 2)))\n"
+    "fam, cost = rotation_grid(4), CostSpec.squared_euclidean()\n"
+    "report = align(mu, nu, fam, cost)\n"
+)
+
+
+def _run(code):
     src = os.path.dirname(os.path.dirname(importlib.import_module("wassalign").__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True
     )
-    assert out.stdout.strip() == "[]"
+    return out.stdout.strip()
+
+
+def test_cli_and_align_leave_scipy_optimize_unloaded():
+    # no module on the CLI path imports scipy: importing scipy.sparse cost
+    # 0.26 s of a 0.46 s `import wassalign.cli`, and scipy.optimize grows a
+    # process from 51.2 to 76.9 MB RSS (Python 3.11, scipy 1.17).  Only the
+    # cross-check LPs import it, inside the functions that solve them
+    code = ALIGN_AFTER_CLI_IMPORT + "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    assert _run(code) == "[]"
+
+
+def test_joint_dual_lp_solves_after_the_cli_import():
+    code = ALIGN_AFTER_CLI_IMPORT + (
+        "dual = solve_dual(mu, nu, build_cost_tensor(mu, nu, fam, cost), method='lp')\n"
+        "print(abs(dual.value - report.value) <= 1e-9 * report.value)\n"
+    )
+    assert _run(code) == "True"

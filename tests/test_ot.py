@@ -152,6 +152,41 @@ def test_triple_transform_idempotence():
         np.testing.assert_allclose(phi3, phi, atol=1e-12)
 
 
+def _weights_off_by(rng, N, M, excess):
+    """Uniform weights with p[0] raised by excess, points in the plane and
+    their sq-euclidean cost matrix."""
+    p, q = np.full(N, 1.0 / N), np.full(M, 1.0 / M)
+    p[0] += excess
+    y, z = rng.normal(size=(N, 2)), rng.normal(size=(M, 2))
+    return p, q, y, z, pairwise_cost(y, z, CostSpec.squared_euclidean())
+
+
+def test_weights_within_the_sum_tolerance_are_renormalized():
+    # 5e-10 over 1 is accepted (WEIGHT_SUM_TOL is 1e-9), and far above the
+    # Phase I threshold of REL * max weight: unnormalized it reads as infeasible
+    rng = np.random.default_rng(30)
+    p, q, y, z, C = _weights_off_by(rng, 30, 20, 5e-10)
+    res = wasserstein(p, q, C)
+    normalized = wasserstein(p / p.sum(), q, C)
+    assert res.value == normalized.value
+    res.plan.check_marginals(p / p.sum(), q)
+    # the same weights on the line, where the cost is |y - z|^2
+    C1 = (y[:, :1] - z[:, 0]) ** 2
+    res_1d = wasserstein_1d(y[:, 0], p, z[:, 0], q)
+    assert res_1d.value == pytest.approx(wasserstein(p / p.sum(), q, C1).value, rel=1e-9)
+    assert res_1d.value == wasserstein_1d(y[:, 0], p / p.sum(), z[:, 0], q).value
+
+
+def test_weights_far_from_summing_to_one_are_rejected_by_both_solvers():
+    rng = np.random.default_rng(31)
+    p, q, y, z, C = _weights_off_by(rng, 6, 5, 0.0)
+    for bad in (0.5 * p, np.append(p[:-1], np.nan)):
+        with pytest.raises(ValueError, match="p is not a probability vector"):
+            wasserstein(bad, q, C)
+        with pytest.raises(ValueError, match="p is not a probability vector"):
+            wasserstein_1d(y[:, 0], bad, z[:, 0], q)
+
+
 # -- 1-d solver ---------------------------------------------------------------
 
 

@@ -550,7 +550,7 @@ def _entry_solver(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
         return pairwise_cost(y, nu.points, cost)
 
     # the entries share p and q, so each entry's optimal basis is feasible for
-    # the next one and its simplex starts there instead of running Phase I
+    # the next one and its simplex starts there instead of at the staircase
     start = None
 
     def solve(y, with_plan):

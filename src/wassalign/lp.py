@@ -2,22 +2,25 @@
 
 `solve_lp` minimizes C.x over couplings x >= 0 of the weights (p, q): row i
 sums the cells of source i to p_i and row N + j those of target j to q_j.
-Column i*M + j is cell (i, j), and column N*M + r is the artificial of row
-r.  Phase I starts from the artificials; Phase II uses Dantzig pricing and
-switches to Bland's rule for anti-cycling.  The rows have rank N + M - 1, so
-one artificial stays basic at zero.  The basis inverse is kept dense and
-refreshed every REFACTOR_PERIOD pivots.  Every column holds ones only, so
-pricing and the entering column are sums of two entries, with no sparse
-matrix.
+Column i*M + j is cell (i, j).  Once the totals balance the last target row
+is implied by the others, so the simplex keeps only the N + M - 1 rows
+before it, and a basis is N + M - 1 cells that form a spanning tree of the
+sources and targets.  The LP is infeasible exactly when the totals differ
+by more than REL * max|b|; then no simplex runs.  Otherwise the simplex
+starts from the north-west-corner `staircase` of (p, q) and uses Dantzig
+pricing, switching to Bland's rule for anti-cycling.  The basis inverse is
+kept dense and refreshed every REFACTOR_PERIOD pivots.  Every column holds
+ones only, so pricing and the entering column are sums of two entries, with
+no sparse matrix, and every entry of a tree basis's inverse is 0 or +-1.
 
 Warm start: every optimal solve returns its final basis (`LpSolution.basis`),
-and `solve_lp(..., start=basis)` begins Phase II from it when it factors, is
-primal feasible and holds no artificial above zero; otherwise Phase I runs as
-for a cold solve.  A sequence of problems that share p and q and differ in
-the cost -- the per-entry transport LPs of an alignment -- thus pays Phase I
-once.  Thresholds (`wassalign.tolerance`) are REL * max|c| on reduced costs
-and REL * max|b| on primal values, so the pivot rules do not depend on the
-units of C or of the weights.
+and `solve_lp(..., start=basis)` begins from it in place of the staircase
+when it factors and is primal feasible.  A sequence of problems that share
+p and q and differ in the cost -- the per-entry transport LPs of an
+alignment -- thus starts each entry at the previous optimum.  Thresholds
+(`wassalign.tolerance`) are REL * max|c| on reduced costs and REL * max|b|
+on primal values, so the pivot rules do not depend on the units of C or of
+the weights.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ __all__ = [
     "LpStatus",
     "solve_lp",
     "check_solution",
+    "staircase",
 ]
 
 REFACTOR_PERIOD = 50
@@ -93,17 +97,58 @@ class LpSolution:
 
     status: LpStatus
     primal: np.ndarray | None = None  # cell values, flat in cell order
-    dual_rows: np.ndarray | None = None  # one multiplier per row
+    dual_rows: np.ndarray | None = None  # one multiplier per row, 0 on the last
     objective: float | None = None
     iterations: int = 0
     message: str = ""
-    # optimal basis as column indices, for solve_lp(start=...)
+    # optimal basis as N + M - 1 cell indices, for solve_lp(start=...)
     basis: np.ndarray | None = None
 
 
 def _cell_sums(v: np.ndarray, N: int) -> np.ndarray:
     """v_i + v_(N+j) for every cell (i, j): the product of v with every cell column."""
     return (v[:N, None] + v[None, N:]).ravel()
+
+
+def staircase(p, q):
+    """The north-west-corner coupling of the weights p and q, in index order.
+
+    Walks the sources and the targets together, moving into cell (i, j) the
+    smaller of what is left of p_i and of q_j, and returns the (i, j, mass)
+    arrays of N + M - 1 cells that form a spanning tree of the sources and
+    targets.  When both atoms run out together the walk steps through
+    (i + 1, j) with zero mass, which keeps the tree connected; once one side
+    is at its last atom the other walks to its end even if rounding left
+    dust, so every atom, zero-weight ones too, gets a cell.  For sorted
+    points on the line this is the monotone (quantile) coupling.
+    """
+    p, q = np.asarray(p, dtype=float).tolist(), np.asarray(q, dtype=float).tolist()
+    N, M = len(p), len(q)
+    cells = [(0, 0)]
+    mass = []
+    i = j = 0
+    ri, rj = p[0], q[0]
+    while True:
+        move = min(ri, rj)
+        mass.append(move)
+        ri -= move
+        rj -= move
+        adv_i = i + 1 < N and (ri <= 0.0 or j + 1 == M)
+        adv_j = j + 1 < M and (rj <= 0.0 or i + 1 == N)
+        if not (adv_i or adv_j):
+            break
+        if adv_i and adv_j:
+            cells.append((i + 1, j))
+            mass.append(0.0)
+        if adv_i:
+            i += 1
+            ri = p[i]
+        if adv_j:
+            j += 1
+            rj = q[j]
+        cells.append((i, j))
+    ii, jj = np.array(cells, dtype=np.int64).T
+    return ii, jj, np.array(mass)
 
 
 # ---------------------------------------------------------------------------
@@ -125,43 +170,39 @@ def _dantzig_order(d, neg):
 
 
 class _Simplex:
+    """The simplex on the rows of the sources and of every target but the last."""
+
     def __init__(self, prob: TransportLp):
         N, M = prob.cost.shape
         self.N, self.M = N, M
         self.n_cells = N * M
-        self.m = N + M
-        self.n_total = self.n_cells + self.m
-        self.b = prob.rhs()
-        self.c = np.concatenate([prob.cost.ravel(), np.zeros(self.m)])
-        self.is_artificial = np.arange(self.n_total) >= self.n_cells
-        self.basis = np.arange(self.n_cells, self.n_total)
-        self.in_basis = self.is_artificial.copy()
-        self.Binv = np.eye(self.m)
-        self.x_B = self.b.copy()
+        self.m = N + M - 1
+        self.b = prob.rhs()[:-1]
+        self.c = prob.cost.ravel()
+        # basis, Binv and x_B are set by start_from or from the staircase
+        self.in_basis = np.zeros(self.n_cells, dtype=bool)
         self.iterations = 0
         self.pivots_since_refactor = 0
-        # primal values: feasibility, Phase I residual and ratio-test ties
-        self.feas_tol = tolerance.of(self.b)
+        # primal values: feasibility and the balance of the totals
+        self.feas_tol = tolerance.of(prob.p, prob.q)
 
-    def _times_columns(self, v: np.ndarray) -> np.ndarray:
-        """v . a_j for every column a_j: the cells, then the artificials."""
-        return np.concatenate([_cell_sums(v, self.N), v])
+    def duals(self) -> np.ndarray:
+        """Row multipliers c_B B^-1, with 0 on the dropped last row."""
+        return np.append(self.c[self.basis] @ self.Binv, 0.0)
 
     def _column_image(self, j: int) -> np.ndarray:
         """Binv a_j."""
-        if j < self.n_cells:
-            i, t = divmod(j, self.M)
-            return self.Binv[:, i] + self.Binv[:, self.N + t]
-        return self.Binv[:, j - self.n_cells].copy()
+        i, t = divmod(j, self.M)
+        if t == self.M - 1:
+            return self.Binv[:, i].copy()
+        return self.Binv[:, i] + self.Binv[:, self.N + t]
 
     def _basis_matrix(self, basis: np.ndarray) -> np.ndarray:
-        B = np.zeros((self.m, self.m))
+        B = np.zeros((self.m + 1, self.m))
         pos = np.arange(self.m)
-        cell = basis < self.n_cells
-        B[basis[cell] // self.M, pos[cell]] = 1.0
-        B[self.N + basis[cell] % self.M, pos[cell]] = 1.0
-        B[basis[~cell] - self.n_cells, pos[~cell]] = 1.0
-        return B
+        B[basis // self.M, pos] = 1.0
+        B[self.N + basis % self.M, pos] = 1.0
+        return B[:-1]
 
     def refactor(self) -> None:
         """Recompute the basis inverse; a singular basis keeps the updated one."""
@@ -174,13 +215,12 @@ class _Simplex:
         self.pivots_since_refactor = 0
 
     def start_from(self, basis) -> bool:
-        """Adopt a start basis if it factors, is primal feasible within the
-        feasibility threshold and holds no artificial above it; otherwise
-        change nothing."""
+        """Adopt a start basis if it factors and is primal feasible within the
+        feasibility threshold; otherwise change nothing."""
         basis = np.asarray(basis)
         if basis.shape != (self.m,) or not np.issubdtype(basis.dtype, np.integer):
             return False
-        if basis.min() < 0 or basis.max() >= self.n_total:
+        if basis.min() < 0 or basis.max() >= self.n_cells:
             return False
         B = self._basis_matrix(basis)
         try:
@@ -191,7 +231,7 @@ class _Simplex:
         if not np.all(np.isfinite(Binv)) or residual > tolerance.FACTOR_TOL:
             return False
         x_B = Binv @ self.b
-        if x_B.min() < -self.feas_tol or np.any(x_B[self.is_artificial[basis]] > self.feas_tol):
+        if x_B.min() < -self.feas_tol:
             return False
         self.basis = basis.astype(np.int64)
         self.in_basis[:] = False
@@ -215,16 +255,13 @@ class _Simplex:
         if self.pivots_since_refactor >= REFACTOR_PERIOD:
             self.refactor()
 
-    def run_phase(self, c_phase: np.ndarray, bland_after: int):
-        """Minimize c_phase over the cells (artificials never enter); returns
-        a status string."""
-        dtol = tolerance.of(c_phase)
+    def run(self, bland_after: int):
+        """Minimize the cost from the current basis; returns a status string."""
+        dtol = tolerance.of(self.c)
         while True:
             if self.iterations > MAX_ITERATIONS:
                 return "failed: iteration limit"
-            y = c_phase[self.basis] @ self.Binv
-            d = c_phase - self._times_columns(y)
-            d[self.is_artificial] = np.inf
+            d = self.c - _cell_sums(self.duals(), self.N)
             d[self.in_basis] = np.inf
             neg = np.flatnonzero(d < -dtol)
             if neg.size == 0:
@@ -242,8 +279,9 @@ class _Simplex:
                     continue  # a ray, or only rounding noise: try another column
                 ratios = np.full(self.m, np.inf)
                 ratios[pos] = self.x_B[pos] / a_hat[pos]
-                theta = ratios.min()
-                cand = np.flatnonzero(ratios <= theta + self.feas_tol)
+                # the exact minimum: a longer step would drive another basic
+                # value negative (a tree basis's a_hat holds only 0 and +-1)
+                cand = np.flatnonzero(ratios <= ratios.min())
                 if use_bland:
                     r = int(cand[np.argmin(self.basis[cand])])
                 else:
@@ -255,58 +293,36 @@ class _Simplex:
                 # the transport polytope is bounded: a ray is a numerical breakdown
                 return "failed: no admissible pivot"
 
-    def drive_out_artificials(self) -> None:
-        for r in range(self.m):
-            if not self.is_artificial[self.basis[r]]:
-                continue
-            row_vec = self._times_columns(self.Binv[r])
-            row_vec[self.is_artificial] = 0.0
-            row_vec[self.in_basis] = 0.0
-            j = int(np.argmax(np.abs(row_vec)))
-            # otherwise the row is dependent and its artificial stays basic at 0
-            if abs(row_vec[j]) > tolerance.DRIVE_OUT_TOL:
-                self._pivot(j, r, self._column_image(j))
-
 
 def solve_lp(prob: TransportLp, start=None) -> LpSolution:
     """Solve a transport LP exactly.
 
+    INFEASIBLE when the totals of p and q differ by more than REL * max|b|.
     start: the `basis` of an earlier optimal solution, typically of a
-    problem with the same p and q and another cost; Phase II starts from it
-    when it factors, is primal feasible and holds no artificial above zero,
-    and Phase I runs otherwise.  Solutions are deterministic for a fixed
+    problem with the same p and q and another cost; the simplex starts from
+    it when it factors and is primal feasible, and from the north-west-corner
+    staircase of (p, q) otherwise.  Solutions are deterministic for a fixed
     input and start.
     """
     sx = _Simplex(prob)
-    bland_after = 5 * (sx.m + sx.n_total)
+    if abs(prob.p.sum() - prob.q.sum()) > sx.feas_tol:
+        return LpSolution(LpStatus.INFEASIBLE, message="the totals of p and q differ")
+    if start is None or not sx.start_from(start):
+        ii, jj, _ = staircase(prob.p, prob.q)
+        sx.basis = ii * sx.M + jj
+        sx.in_basis[sx.basis] = True
+        sx.refactor()
 
-    if start is not None and sx.start_from(start):
-        # artificials left basic at zero are pivoted out where their row allows
-        sx.drive_out_artificials()
-    else:
-        c1 = sx.is_artificial.astype(float)
-        status = sx.run_phase(c1, bland_after)
-        if status.startswith("failed"):
-            return LpSolution(LpStatus.FAILED, iterations=sx.iterations, message=status)
-        if float(c1[sx.basis] @ sx.x_B) > sx.feas_tol:
-            # the updated values drift: a pivot on a ratio tie, or the clip at
-            # zero, moves them off B^-1 b, so judge on a fresh factorization
-            sx.refactor()
-            if float(c1[sx.basis] @ sx.x_B) > sx.feas_tol:
-                return LpSolution(LpStatus.INFEASIBLE, iterations=sx.iterations)
-        sx.drive_out_artificials()
-
-    status = sx.run_phase(sx.c, bland_after)
+    status = sx.run(bland_after=5 * (sx.m + sx.n_cells))
     if status.startswith("failed"):
         return LpSolution(LpStatus.FAILED, iterations=sx.iterations, message=status)
 
-    primal = np.zeros(sx.n_total)
+    primal = np.zeros(sx.n_cells)
     primal[sx.basis] = sx.x_B
-    primal = primal[: sx.n_cells]
     return LpSolution(
         LpStatus.OPTIMAL,
         primal=primal,
-        dual_rows=sx.c[sx.basis] @ sx.Binv,
+        dual_rows=sx.duals(),
         objective=float(prob.cost.ravel() @ primal),
         iterations=sx.iterations,
         basis=sx.basis.copy(),

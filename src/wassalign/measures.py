@@ -32,11 +32,6 @@ __all__ = [
     "igw_family",
 ]
 
-# Covariance eigenvalues below this floor mean the support is degenerate.
-COV_EIG_FLOOR = 1e-12
-STIEFEL_TOL = 1e-10
-
-
 class DegenerateSupportError(ValueError):
     """Raised when a measure's support cannot be whitened (singular covariance)."""
 
@@ -53,7 +48,8 @@ class DiscreteMeasure:
 
     Attributes:
         points: (n, dim) array of support points.
-        weights: (n,) probability vector; nonnegative, sums to 1 within 1e-12.
+        weights: (n,) probability vector; nonnegative, sums to 1 within
+            MEASURE_SUM_TOL.
     """
 
     points: np.ndarray
@@ -70,8 +66,10 @@ class DiscreteMeasure:
             raise ValueError("points contain non-finite coordinates")
         if np.any(w < 0):
             raise ValueError("negative weight")
-        if abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError(f"weights sum to {w.sum()!r}, expected 1 within 1e-12")
+        if abs(w.sum() - 1.0) > tolerance.MEASURE_SUM_TOL:
+            raise ValueError(
+                f"weights sum to {w.sum()!r}, expected 1 within {tolerance.MEASURE_SUM_TOL:g}"
+            )
         object.__setattr__(self, "points", _readonly(pts))
         object.__setattr__(self, "weights", _readonly(w))
 
@@ -104,12 +102,12 @@ class DiscreteMeasure:
 def new_measure(points, weights=None) -> DiscreteMeasure:
     """Build a validated measure; uniform weights when none are given.
 
-    Weights within 1e-9 of summing to 1 are accepted and renormalized so the
-    stored vector sums to 1 within 1e-12.
+    Weights within WEIGHT_SUM_TOL of summing to 1 are accepted and
+    renormalized so the stored vector sums to 1 within MEASURE_SUM_TOL.
 
     Raises:
         ValueError: empty points, inconsistent dimensions, negative weight,
-            or weight sum deviating from 1 by more than 1e-9.
+            or weight sum deviating from 1 by more than WEIGHT_SUM_TOL.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
@@ -140,15 +138,18 @@ def whiten(m: DiscreteMeasure) -> DiscreteMeasure:
     square root of the weighted covariance (symmetric eigendecomposition).
 
     Raises:
-        DegenerateSupportError: some covariance eigenvalue is below 1e-12,
-            i.e. the support does not affinely span R^dim.
+        DegenerateSupportError: the smallest covariance eigenvalue is at most
+            COV_EIG_RATIO times the largest, i.e. the support does not
+            affinely span R^dim.  The ratio, unlike a floor, does not depend
+            on the units of the points.
     """
     center = m.mean()
     cov = m.covariance()
     eigvals, eigvecs = np.linalg.eigh(cov)
-    if eigvals.min() < COV_EIG_FLOOR:
+    if eigvals.min() <= tolerance.COV_EIG_RATIO * eigvals.max():
         raise DegenerateSupportError(
-            f"degenerate support: covariance eigenvalue {eigvals.min():.3e} below {COV_EIG_FLOOR:g}"
+            f"degenerate support: covariance eigenvalues {eigvals.min():.3e} and "
+            f"{eigvals.max():.3e} are in a ratio of at most {tolerance.COV_EIG_RATIO:g}"
         )
     inv_sqrt = eigvecs @ np.diag(1.0 / np.sqrt(eigvals)) @ eigvecs.T
     return DiscreteMeasure((m.points - center) @ inv_sqrt, m.weights)
@@ -371,7 +372,7 @@ def rotation_grid(l: int) -> TransformFamily:
 
 
 def stiefel_validate(A: np.ndarray) -> bool:
-    """True iff the (n, d) matrix A has orthonormal columns within 1e-10.
+    """True iff the (n, d) matrix A has orthonormal columns within STIEFEL_TOL.
 
     Raises:
         ValueError: n < d (more columns than rows cannot be orthonormal).
@@ -383,7 +384,7 @@ def stiefel_validate(A: np.ndarray) -> bool:
     if n < d:
         raise ValueError(f"matrix is {n}x{d}; orthonormal columns require n >= d")
     gram = A.T @ A - np.eye(d)
-    return bool(np.max(np.abs(gram)) <= STIEFEL_TOL)
+    return bool(np.max(np.abs(gram)) <= tolerance.STIEFEL_TOL)
 
 
 def igw_family(mats) -> TransformFamily:

@@ -1,13 +1,15 @@
 """Exact discrete optimal transport: values, plans, Kantorovich potentials.
 
-The transport LP is solved by the warm-startable revised simplex in
-`wassalign.lp`; returned potentials are the LP row duals with the source side
-canonicalized through the cbar-transform, so that phi = psi^cbar holds
-exactly.  A separate quantile solver handles measures on the line, where the
-monotone coupling is optimal for costs |y - z|^p with p >= 1; it produces the
-same value/potential contracts at a fraction of the cost.  Both solvers take
-nonnegative weights whose sums are within WEIGHT_SUM_TOL of 1, and
-renormalize them.
+The transport LP is solved by the revised simplex in `wassalign.lp`, which
+starts from the north-west-corner staircase of the weights, or from the
+optimal basis of an earlier LP with the same weights; returned potentials
+are the LP row duals with the source side canonicalized through the
+cbar-transform, so that phi = psi^cbar holds exactly.  A separate quantile
+solver handles measures on the line: there the same staircase, taken on the
+sorted supports, is the monotone coupling, which is optimal for costs
+|y - z|^p with p >= 1; it produces the same value/potential contracts at a
+fraction of the cost.  Both solvers take nonnegative weights whose sums are
+within WEIGHT_SUM_TOL of 1, and renormalize them.
 
 Transforms follow the asymmetric convention
     cbar_transform(psi)[i] = min_j (C[i, j] - psi[j])   (potential on sources)
@@ -21,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from wassalign import tolerance
-from wassalign.lp import LpSolverError, LpStatus, TransportLp, solve_lp
+from wassalign.lp import LpSolverError, LpStatus, TransportLp, solve_lp, staircase
 
 __all__ = [
     "TransportPlan",
@@ -127,10 +129,11 @@ def wasserstein(p, q, C, start=None) -> OtResult:
     canonical cbar-concave representative.
 
     start: the `basis` of an earlier result with the same p and q, from
-    which the simplex starts instead of running Phase I (the feasible
-    region does not depend on C); it is checked and dropped if it does not
-    fit.  The value equals a cold solve's; when the optimum is not unique
-    the plan and potentials may be another optimal vertex and dual pair.
+    which the simplex starts instead of the north-west-corner staircase
+    (the feasible region does not depend on C); it is checked and dropped
+    if it does not fit.  The value equals a cold solve's; when the optimum
+    is not unique the plan and potentials may be another optimal vertex and
+    dual pair.
 
     Raises:
         ValueError: p or q is not a probability vector, or the shapes of p,
@@ -152,59 +155,12 @@ def wasserstein(p, q, C, start=None) -> OtResult:
 # ---------------------------------------------------------------------------
 
 
-def _monotone_coupling(y_s, p_s, z_s, q_s):
-    """Two-pointer mass splitting along sorted supports.
-
-    Returns (i_idx, j_idx, mass) triples of the quantile coupling and the list
-    of (i, j) edges used for potential propagation (includes the zero-mass
-    staircase edges inserted when both atoms exhaust simultaneously).
-    """
-    N, M = len(y_s), len(z_s)
-    ii: list = []
-    jj: list = []
-    mm: list = []
-    prop_edges = []
-    i = j = 0
-    ri, rj = p_s[0], q_s[0]
-    prop_edges.append((0, 0))
-    while True:
-        move = min(ri, rj)
-        ii.append(i)
-        jj.append(j)
-        mm.append(move)
-        ri -= move
-        rj -= move
-        # once one side is at its last atom, the other walks to its end even
-        # if rounding left dust: every atom, zero-weight ones too, gets an edge
-        adv_i = i + 1 < N and (ri <= 0.0 or j + 1 == M)
-        adv_j = j + 1 < M and (rj <= 0.0 or i + 1 == N)
-        if not adv_i and not adv_j:
-            break
-        if adv_i and adv_j:
-            # tie: step through (i+1, j) with zero mass to keep the chain connected
-            i += 1
-            ri = p_s[i]
-            prop_edges.append((i, j))
-            j += 1
-            rj = q_s[j]
-            prop_edges.append((i, j))
-        elif adv_i:
-            i += 1
-            ri = p_s[i]
-            prop_edges.append((i, j))
-        else:
-            j += 1
-            rj = q_s[j]
-            prop_edges.append((i, j))
-    return np.array(ii), np.array(jj), np.array(mm), prop_edges
-
-
-def _propagate_potentials(cost_edge, prop_edges, N, M):
-    """Solve phi_i + psi_j = c_ij along the connected staircase of edges."""
+def _propagate_potentials(cost_edge, ii, jj, N, M):
+    """Solve phi_i + psi_j = c_ij along the cells of a staircase, in its order."""
     phi = np.full(N, np.nan)
     psi = np.full(M, np.nan)
     phi[0] = 0.0
-    for i, j in prop_edges:
+    for i, j in zip(ii.tolist(), jj.tolist()):
         if np.isnan(psi[j]):
             psi[j] = cost_edge(i, j) - phi[i]
         elif np.isnan(phi[i]):
@@ -216,12 +172,12 @@ def wasserstein_1d(y, p, z, q, power: float = 2.0, return_plan: bool = True) -> 
     """Exact OT on the line for the cost |y - z|^power, power >= 1.
 
     Weights are checked and renormalized as for `wasserstein`; a zero-weight
-    atom still gets a potential.  The monotone (quantile) coupling is
-    optimal for convex costs.  psi is propagated along the coupling's
-    staircase and, as in `wasserstein`, phi = cbar_transform(psi), which is
-    dual feasible by construction; the duality gap to the primal value is
-    then checked against the tolerance of the largest cost (ArithmeticError
-    if it fails).
+    atom still gets a potential.  The monotone (quantile) coupling, the
+    `staircase` of the sorted supports, is optimal for convex costs.  psi
+    is propagated along the staircase's cells and, as in `wasserstein`,
+    phi = cbar_transform(psi), which is dual feasible by construction; the
+    duality gap to the primal value is then checked against the tolerance
+    of the largest cost (ArithmeticError if it fails).
     """
     y = np.asarray(y, dtype=float).ravel()
     z = np.asarray(z, dtype=float).ravel()
@@ -237,13 +193,13 @@ def wasserstein_1d(y, p, z, q, power: float = 2.0, return_plan: bool = True) -> 
     z_s, q_s = z[order_z], q[order_z]
     N, M = y.size, z.size
 
-    ii, jj, mm, prop_edges = _monotone_coupling(y_s, p_s, z_s, q_s)
+    ii, jj, mm = staircase(p_s, q_s)
     value = float(mm @ np.abs(y_s[ii] - z_s[jj]) ** power)
 
     def cost_edge(i, j):
         return abs(y_s[i] - z_s[j]) ** power
 
-    _, psi_s = _propagate_potentials(cost_edge, prop_edges, N, M)
+    _, psi_s = _propagate_potentials(cost_edge, ii, jj, N, M)
     rows = (np.abs(y_s[a : a + 512, None] - z_s) ** power for a in range(0, N, 512))
     phi_s = np.concatenate([cbar_transform(psi_s, C) for C in rows])
     gap = abs(float(phi_s @ p_s + psi_s @ q_s) - value)

@@ -1,11 +1,14 @@
-"""Every threshold of `lp`, `ot` and `alignment`, kept in one place.
+"""Every threshold of `measures`, `lp`, `ot` and `alignment`, kept in one place.
 
 A threshold on values -- costs, objectives, reduced costs, right-hand sides,
 potentials -- is REL times the size of the data it compares (`of`), so
-answers do not depend on units.  Masses and basis-matrix entries are
-unit-free (weights sum to 1; the transport simplex's constraint matrix holds
-only 0 and 1), so their thresholds are absolute.  The two cross-check LPs
-of `alignment` pass no thresholds to HiGHS; they scale their costs instead.
+answers do not depend on units; a covariance is judged degenerate by the
+ratio of its eigenvalues, for the same reason.  Masses, basis-matrix
+entries and orthonormal-column residuals are unit-free (weights sum to 1;
+the transport simplex's constraint matrix holds only 0 and 1, so the
+inverse of its tree bases holds only 0 and +-1), so their thresholds are
+absolute.  The two cross-check LPs of `alignment` pass no thresholds to
+HiGHS; they scale their costs instead.
 """
 
 import numpy as np
@@ -14,10 +17,12 @@ REL = 1e-9
 
 MARGINAL_TOL = 1e-8  # masses: plan row and column sums against the weights
 WEIGHT_SUM_TOL = 1e-9  # masses: a weight vector's sum against 1 (then renormalized)
+MEASURE_SUM_TOL = 1e-12  # masses: a stored measure's weight sum against 1
 PLAN_ZERO = 1e-12  # masses: plan entries at or below this are empty cells
 PIVOT_TOL = 1e-11  # basis-matrix entries: smallest admissible pivot
-DRIVE_OUT_TOL = 1e-9  # basis-matrix entries: smallest pivot that drives out an artificial
 FACTOR_TOL = 1e-8  # basis-matrix entries: largest |B inv(B) - I| of a start basis
+COV_EIG_RATIO = 1e-12  # smallest over largest covariance eigenvalue of a degenerate support
+STIEFEL_TOL = 1e-10  # largest |A^T A - I| entry of a matrix with orthonormal columns
 DUAL_FEAS_TOL = 1e-8  # phi_i + psi_j - C_ij of OT potentials, on costs of unit size
 
 

@@ -2,9 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from wassalign.lp import LpStatus, TransportLp, _Simplex, check_solution, solve_lp
+from wassalign.lp import LpStatus, TransportLp, _Simplex, check_solution, solve_lp, staircase
 from wassalign.measures import CostSpec, pairwise_cost, rotation_grid
+from wassalign.tolerance import MARGINAL_TOL
 
 
 def _random_transport_lp(rng, N, M, uniform=False):
@@ -44,15 +47,16 @@ def test_single_variable_infeasible():
 
 
 def test_redundant_equality_rows():
-    # the source rows and the target rows both sum to the total mass, so one
-    # row is redundant: its artificial stays basic at zero, the others leave
+    # the source rows and the target rows both sum to the total mass, so the
+    # last row is implied: a basis is N + M - 1 cells and nothing else
     rng = np.random.default_rng(3)
     for N, M in [(1, 1), (1, 4), (3, 1), (3, 4)]:
         prob = _random_transport_lp(rng, N, M)
         sol = solve_lp(prob)
         assert sol.status is LpStatus.OPTIMAL
-        artificial = sol.basis >= N * M
-        assert artificial.sum() == 1
+        assert sol.basis.shape == (N + M - 1,)
+        assert sol.basis.max() < N * M
+        assert sol.dual_rows.shape == (N + M,) and sol.dual_rows[-1] == 0.0
         assert check_solution(prob, sol)["primal_infeasibility"] <= 1e-12
         assert sol.objective == pytest.approx(_enumerate_vertices(prob), abs=1e-9)
 
@@ -68,11 +72,10 @@ def test_random_lp_matches_vertex_enumeration(uniform):
         assert sol.objective == pytest.approx(_enumerate_vertices(prob), abs=1e-9)
 
 
-def test_phase_one_residual_is_judged_on_a_fresh_factorization():
+def test_ratio_test_leaves_no_basic_value_negative():
     # uniform weights with p[0] raised by 5e-10, then renormalized: ratios
-    # tie within the feasibility threshold, and the updated basic values
-    # drift to an artificial of 2e-10, four times that threshold, while the
-    # final Phase I basis is exactly feasible
+    # tie within the feasibility threshold, and a step past the minimum
+    # ratio would leave a basic value of -5e-11 that the plan clips to zero
     rng = np.random.default_rng(30)
     N, M = 30, 20
     p, q = np.full(N, 1.0 / N), np.full(M, 1.0 / M)
@@ -81,7 +84,9 @@ def test_phase_one_residual_is_judged_on_a_fresh_factorization():
     prob = TransportLp(pairwise_cost(x, z, CostSpec.squared_euclidean()), p / p.sum(), q / q.sum())
     sol = solve_lp(prob)
     assert sol.status is LpStatus.OPTIMAL
-    assert check_solution(prob, sol)["primal_infeasibility"] <= 1e-9
+    sx = _Simplex(prob)
+    assert np.linalg.solve(sx._basis_matrix(sol.basis), sx.b).min() >= -1e-15
+    assert check_solution(prob, sol)["primal_infeasibility"] <= 1e-15
 
 
 def test_transport_lp_validates_its_data():
@@ -149,6 +154,59 @@ def test_deterministic_resolve():
     assert s1.iterations == s2.iterations
 
 
+# -- staircase -------------------------------------------------------------
+
+
+def _weights(rng, n, kind):
+    if kind == "dyadic":  # multiples of 1/64: the partial sums of p and q tie exactly
+        w = rng.multinomial(64, np.ones(n) / n) / 64.0
+    else:
+        w = rng.dirichlet(np.ones(n))
+        if kind == "zeros" and n > 1:
+            w[rng.random(n) < 0.4] = 0.0
+            w = w / w.sum() if w.sum() > 0 else np.full(n, 1.0 / n)
+    return w
+
+
+def _is_spanning_tree(ii, jj, N, M):
+    parent = list(range(N + M))
+
+    def root(a):
+        while parent[a] != a:
+            a = parent[a]
+        return a
+
+    for i, j in zip(ii, jj):
+        a, b = root(i), root(N + j)
+        if a == b:
+            return False  # a cycle
+        parent[a] = b
+    return len(ii) == N + M - 1  # acyclic with N + M - 1 edges: connected
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    N=st.integers(1, 12),
+    M=st.integers(1, 12),
+    kind=st.sampled_from(["dirichlet", "zeros", "dyadic"]),
+)
+@example(seed=0, N=1, M=1, kind="dirichlet")
+@example(seed=0, N=1, M=7, kind="zeros")
+@example(seed=0, N=7, M=1, kind="dyadic")
+def test_staircase_is_a_spanning_tree_that_meets_the_marginals(seed, N, M, kind):
+    rng = np.random.default_rng(seed)
+    p, q = _weights(rng, N, kind), _weights(rng, M, kind)
+    ii, jj, mass = staircase(p, q)
+    assert ii.shape == jj.shape == mass.shape == (N + M - 1,)
+    assert _is_spanning_tree(ii, jj, N, M)
+    assert mass.min() >= 0.0
+    plan = np.zeros((N, M))
+    np.add.at(plan, (ii, jj), mass)
+    assert np.abs(plan.sum(axis=1) - p).max() <= MARGINAL_TOL
+    assert np.abs(plan.sum(axis=0) - q).max() <= MARGINAL_TOL
+
+
 # -- warm start ------------------------------------------------------------
 
 
@@ -187,7 +245,7 @@ def test_warm_start_matches_cold_over_a_rotation_grid():
     assert sum(warm_its[1:]) < sum(cold_its[1:])
 
 
-def test_start_infeasible_for_new_rhs_falls_back_to_phase_one():
+def test_start_infeasible_for_new_rhs_falls_back_to_the_staircase():
     rng = np.random.default_rng(41)
     C = _rotation_costs(rng, l=4)[1]
     N, M = C.shape
@@ -198,7 +256,7 @@ def test_start_infeasible_for_new_rhs_falls_back_to_phase_one():
     prob = TransportLp(C, p, q2)
     cold, warm = solve_lp(prob), solve_lp(prob, start=start)
     # under q2 the q1 basis gives a negative flow (-0.65 on this instance),
-    # so Phase I runs as in the cold solve
+    # the solve starts from the staircase, as the cold one does
     assert warm.status is LpStatus.OPTIMAL
     assert warm.iterations == cold.iterations
     np.testing.assert_array_equal(warm.primal, cold.primal)
@@ -206,17 +264,17 @@ def test_start_infeasible_for_new_rhs_falls_back_to_phase_one():
 
 
 @pytest.mark.parametrize("kind", ["singular", "short", "out_of_range", "repeated"])
-def test_unusable_start_falls_back_to_phase_one(kind):
+def test_unusable_start_falls_back_to_the_staircase(kind):
     rng = np.random.default_rng(43)
     C = _rotation_costs(rng, l=4)[2]
     N, M = C.shape
     prob = TransportLp(C, rng.dirichlet(np.ones(N)), rng.dirichlet(np.ones(M)))
     start = {
-        # N + M transport columns never factor: the rows have rank N + M - 1
-        "singular": np.arange(N + M),
-        "short": np.arange(N + M - 1),
-        "out_of_range": np.arange(N + M) + 10**6,
-        "repeated": np.zeros(N + M, dtype=np.int64),
+        # the first N + M - 1 cells in index order fill rows 0 and 1, a cycle
+        "singular": np.arange(N + M - 1),
+        "short": np.arange(N + M - 2),
+        "out_of_range": np.arange(N + M - 1) + 10**6,
+        "repeated": np.zeros(N + M - 1, dtype=np.int64),
     }[kind]
     cold, warm = solve_lp(prob), solve_lp(prob, start=start)
     assert warm.status is LpStatus.OPTIMAL
@@ -225,17 +283,19 @@ def test_unusable_start_falls_back_to_phase_one(kind):
 
 
 def test_start_with_a_basic_artificial_at_zero_stays_feasible():
-    # the start holds cells (0, 1) and (1, 0), which carry all the mass, and
-    # the artificials of rows 0 and 2, both basic at zero.  Left basic, an
-    # artificial would grow as a cell enters, breaking its row (by 0.5 on
-    # this instance), so each is pivoted out first where its row allows
+    # a start in the form of an LP with an artificial column per row: cells
+    # (0, 1) and (1, 0), which carry all the mass, and column 4, the
+    # artificial of row 0.  No column past the cells exists, so the start is
+    # refused and the solve is the cold one
     prob = TransportLp(np.array([[0.0, 2.0], [2.0, 1.0]]), [0.5, 0.5], [0.5, 0.5])
-    start = np.array([1, 2, 4, 6])  # columns 4 and 6: the artificials of rows 0 and 2
-    assert _Simplex(prob).start_from(start)
+    start = np.array([1, 2, 4])
+    assert not _Simplex(prob).start_from(start)
     cold, warm = solve_lp(prob), solve_lp(prob, start=start)
     assert warm.status is LpStatus.OPTIMAL
     assert cold.objective == 0.5
-    assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+    assert warm.objective == cold.objective
+    np.testing.assert_array_equal(warm.basis, cold.basis)
+    assert warm.iterations == cold.iterations
     assert check_solution(prob, warm)["primal_infeasibility"] <= 1e-8
 
 

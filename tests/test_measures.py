@@ -104,6 +104,20 @@ def test_whiten_degenerate_support():
         whiten(new_measure([(0.0, 0.0), (1.0, 0.5)]))  # fewer than dim+1 points
 
 
+def test_whiten_does_not_depend_on_scale():
+    # a floor on the eigenvalues would reject the small well-conditioned
+    # clouds (eigenvalue 2e-13 at 1e-6) and accept the large collinear ones
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(20, 2))
+    t = rng.normal(size=20)
+    collinear = np.column_stack([t, 3.0 * t])
+    base = whiten(new_measure(x)).points
+    for s in np.logspace(-8, 8, 17):
+        np.testing.assert_allclose(whiten(new_measure(x * s)).points, base, rtol=0, atol=1e-9)
+        with pytest.raises(DegenerateSupportError):
+            whiten(new_measure(collinear * s))
+
+
 # -- pushforward -------------------------------------------------------------
 
 

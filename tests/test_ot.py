@@ -163,7 +163,8 @@ def _weights_off_by(rng, N, M, excess):
 
 def test_weights_within_the_sum_tolerance_are_renormalized():
     # 5e-10 over 1 is accepted (WEIGHT_SUM_TOL is 1e-9), and far above the
-    # Phase I threshold of REL * max weight: unnormalized it reads as infeasible
+    # threshold of REL * max weight on the difference of the totals:
+    # unnormalized it reads as infeasible
     rng = np.random.default_rng(30)
     p, q, y, z, C = _weights_off_by(rng, 30, 20, 5e-10)
     res = wasserstein(p, q, C)

@@ -22,7 +22,9 @@ from wassalign.ot import (
     PotentialPair,
     TransportPlan,
     c_transform,
+    c_transform_1d,
     cbar_transform,
+    cbar_transform_1d,
     wasserstein,
     wasserstein_1d,
 )

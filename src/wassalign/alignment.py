@@ -53,7 +53,9 @@ from wassalign.ot import (
     PotentialPair,
     TransportPlan,
     c_transform,
+    c_transform_1d,
     cbar_transform,
+    cbar_transform_1d,
     wasserstein,
     wasserstein_1d,
 )
@@ -78,8 +80,8 @@ __all__ = [
     "align",
 ]
 
-# cost-matrix rows formed at once when align transforms potentials, so that
-# the quantile route never holds a full N x M cost matrix
+# cost-matrix rows formed at once when align transforms potentials on the
+# transport-LP route, so that a transform holds ROW_BLOCK x M costs at a time
 ROW_BLOCK = 512
 
 
@@ -200,26 +202,21 @@ def _psibar_folded(psi: np.ndarray, folded: np.ndarray) -> np.ndarray:
     return (folded - psi.reshape(1, psi.shape[0], -1)).min(axis=1)
 
 
-def _cbar_rows(psi: np.ndarray, blocks) -> np.ndarray:
-    """cbar_transform of psi over a cost matrix given as consecutive row blocks."""
-    return np.concatenate([cbar_transform(psi, C) for C in blocks])
+def _dense_transforms(C: np.ndarray):
+    """The (cbar, c) transforms of one cost matrix."""
+    return (lambda psi: cbar_transform(psi, C)), (lambda phi: c_transform(phi, C))
 
 
-def _canonical_potentials(raw_psi: np.ndarray, rows) -> PotentialPair:
+def _canonical_potentials(raw_psi: np.ndarray, transforms) -> PotentialPair:
     """Replace an optimal psi by its cbar-concave representative.
 
     psi* = (psi^cbar)^c satisfies psi* >= psi and (psi*)^cbar = psi^cbar, so
     the pair (psi^cbar, psi*) is feasible with the same optimal objective.
-    rows() yields the cost matrix as consecutive row blocks; it is called
-    once per transform.
+    transforms is the (cbar, c) pair of the entry's cost.
     """
-    phi = _cbar_rows(raw_psi, rows())
-    psi_star = np.full(raw_psi.shape, np.inf)
-    start = 0
-    for C in rows():
-        np.minimum(psi_star, c_transform(phi[start : start + C.shape[0]], C), out=psi_star)
-        start += C.shape[0]
-    return PotentialPair(phi, psi_star)
+    cbar, c = transforms
+    phi = cbar(raw_psi)
+    return PotentialPair(phi, c(phi))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +262,9 @@ def solve_dual(
     if method == "certificate":
         per_theta, solves = per_entry_ot(mu, nu, ct)
         pots = [res.potentials for res in solves]
-        return _assemble_dual(per_theta, pots, ct.penalties, nu.weights, lambda k: [ct.slice(k)])
+        return _assemble_dual(
+            per_theta, pots, ct.penalties, nu.weights, lambda k: _dense_transforms(ct.slice(k))
+        )
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -325,7 +324,7 @@ def _solve_dual_lp(p: np.ndarray, q: np.ndarray, ct: CostTensor) -> AlignmentDua
     return AlignmentDual(x[: N * l].reshape(N, l), x[N * l :].reshape(M, l), -res.fun * size)
 
 
-def _assemble_dual(per_theta, pots, penalties, q, cost_rows) -> AlignmentDual:
+def _assemble_dual(per_theta, pots, penalties, q, transforms) -> AlignmentDual:
     """Exact optimal dual from per-entry Kantorovich potentials.
 
     For each entry, shift the potentials so that all psi columns share the
@@ -333,13 +332,13 @@ def _assemble_dual(per_theta, pots, penalties, q, cost_rows) -> AlignmentDual:
     alpha_k = per_theta[k] - value into the xi side.  The pair stays feasible
     (alpha_k >= 0 only lowers xi) and its objective telescopes to the
     brute-force value, which certifies optimality by weak duality.
-    cost_rows(k) yields entry k's cost matrix as consecutive row blocks; only
-    the optimizer's potentials, made canonical, need it.
+    transforms(k) is the (cbar, c) pair of entry k's cost; only the
+    optimizer's potentials, made canonical, need it.
     """
     value = float(per_theta.min())
     k0 = int(np.argmin(per_theta))
     pots = list(pots)
-    pots[k0] = _canonical_potentials(pots[k0].psi, lambda: cost_rows(k0))
+    pots[k0] = _canonical_potentials(pots[k0].psi, transforms(k0))
     N, M, l = pots[0].phi.size, pots[0].psi.size, len(pots)
     xi = np.empty((N, l))
     psi = np.empty((M, l))
@@ -488,7 +487,7 @@ def gap_certificate(
         ot_result = wasserstein(mu.weights, nu.weights, ct.slice(k0))
     if folded is None:
         folded = ct.folded()
-    pot = _canonical_potentials(ot_result.potentials.psi, lambda: [ct.slice(k0)])
+    pot = _canonical_potentials(ot_result.potentials.psi, _dense_transforms(ct.slice(k0)))
     psibar = _psibar_folded(pot.psi, folded)
     i_curve = mu.weights @ psibar
     i_min = float(i_curve.min())
@@ -524,14 +523,16 @@ def gap_certificates(
 
 
 def _entry_solver(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
-    """Exact OT for one family entry, the cost matrix that solver sees, and
-    that matrix's largest magnitude.
+    """Exact OT for one family entry, the (cbar, c) transforms of the cost
+    matrix that solver sees, and that matrix's largest magnitude.
 
-    The functions take the image y = T_k(x) of (rows of) mu's support.  A
-    target on the line under a power of the distance takes the quantile
-    solver, which forms no cost matrix; any other instance poses the
-    transport LP.  solve(y, with_plan) returns an OtResult; the transport LP
-    returns its plan either way.
+    The functions take the image y = T_k(x) of mu's support.  A target on
+    the line under a power of the distance takes the quantile solver, and
+    its transforms are monotone row minima on the line; neither forms a
+    cost matrix.  Any other instance poses the transport LP, and its
+    transforms run over ROW_BLOCK rows of the cost matrix at a time.
+    solve(y, with_plan) returns an OtResult; the transport LP returns its
+    plan either way.
     """
     p, q = mu.weights, nu.weights
     if nu.dim == 1 and cost.kind in ("sq-euclidean", "power"):
@@ -541,10 +542,16 @@ def _entry_solver(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
         def solve(y, with_plan):
             return wasserstein_1d(y[:, 0], p, z, q, power=power, return_plan=with_plan)
 
+        def line_transforms(y):
+            return (
+                lambda psi: cbar_transform_1d(psi, y[:, 0], z, power),
+                lambda phi: c_transform_1d(phi, y[:, 0], z, power),
+            )
+
         def largest_cost(y):
             return max(abs(y.max() - z.min()), abs(z.max() - y.min())) ** power
 
-        return solve, lambda y: np.abs(y - z[None, :]) ** power, largest_cost
+        return solve, line_transforms, largest_cost
 
     def cost_of(y):
         return pairwise_cost(y, nu.points, cost)
@@ -559,7 +566,19 @@ def _entry_solver(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
         start = res.basis
         return res
 
-    return solve, cost_of, lambda y: float(np.abs(cost_of(y)).max())
+    def row_transforms(y):
+        blocks = [(a, y[a : a + ROW_BLOCK]) for a in range(0, y.shape[0], ROW_BLOCK)]
+
+        def cbar(psi):
+            return np.concatenate([cbar_transform(psi, cost_of(b)) for _, b in blocks])
+
+        def c(phi):
+            mins = [c_transform(phi[a : a + len(b)], cost_of(b)) for a, b in blocks]
+            return np.min(mins, axis=0)
+
+        return cbar, c
+
+    return solve, row_transforms, lambda y: float(np.abs(cost_of(y)).max())
 
 
 def align(
@@ -585,22 +604,23 @@ def align(
     if fam.target_dim != nu.dim:
         raise ValueError(f"family maps into R^{fam.target_dim}, nu lives in R^{nu.dim}")
     penalties = fam.penalties
-    solve, cost_of, largest_cost = _entry_solver(mu, nu, cost)
+    solve, transforms, largest_cost = _entry_solver(mu, nu, cost)
     images = [entry.apply(mu.points) for entry in fam]
     solves = [solve(y, False) for y in images]
     per_theta = np.array([res.value for res in solves]) + penalties
     size = _folded_size([largest_cost(y) for y in images], penalties)
 
-    def cost_rows(k):
-        for start in range(0, mu.size, ROW_BLOCK):
-            yield cost_of(fam[k].apply(mu.points[start : start + ROW_BLOCK]))
-
     dual = _assemble_dual(
-        per_theta, [res.potentials for res in solves], penalties, nu.weights, cost_rows
+        per_theta,
+        [res.potentials for res in solves],
+        penalties,
+        nu.weights,
+        lambda k: transforms(images[k]),
     )
     k_star = _argmin_set(per_theta, size)
     k = k_star[0]
-    psibar = _cbar_rows(dual.psi[:, k], cost_rows(k)) + penalties[k]
+    cbar, _ = transforms(images[k])
+    psibar = cbar(dual.psi[:, k]) + penalties[k]
     witness_gap = float(np.max(np.abs(dual.xi[:, k] - psibar)))
     if witness_gap > tolerance.of(size):
         logger.warning(
@@ -609,7 +629,7 @@ def align(
             witness_gap,
         )
     # the quantile solver leaves plans out of the loop; the optimizer's is formed here
-    star = solves[k] if solves[k].plan.matrix.size else solve(fam[k].apply(mu.points), True)
+    star = solves[k] if solves[k].plan.matrix.size else solve(images[k], True)
     return AlignmentReport(
         theta_star=k,
         theta_star_label=fam.labels[k],

@@ -402,3 +402,28 @@ def test_align_chains_each_entry_basis_into_the_next(monkeypatch):
         assert all(s[k] is r[k - 1].basis for k in range(1, len(fam)))
     np.testing.assert_array_equal(first.per_theta, second.per_theta)
     np.testing.assert_array_equal(first.plan.matrix, second.plan.matrix)
+
+
+def test_quantile_route_forms_no_cost_rows(monkeypatch):
+    # a line target: the per-entry solves, the canonical potentials and the
+    # witness check all run on the line, so no cost-matrix block is formed;
+    # the dense transforms and pairwise costs are cut off to show it
+    rng = np.random.default_rng(19)
+    mu = new_measure(rng.normal(size=(40, 2)))
+    nu = new_measure(rng.normal(size=(30, 1)))
+    entries = tuple(
+        FamilyEntry(f"t{k}", np.array([[np.cos(t), np.sin(t)]]), np.zeros(1))
+        for k, t in enumerate(rotation_grid_angles(12))
+    )
+    fam = TransformFamily(entries)
+    spec = CostSpec.squared_euclidean()
+    bf = brute_force(mu, nu, build_cost_tensor(mu, nu, fam, spec))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a cost-matrix block was formed on the quantile route")
+
+    for name in ("pairwise_cost", "cbar_transform", "c_transform"):
+        monkeypatch.setattr(wassalign.alignment, name, refuse)
+    rep = align(mu, nu, fam, spec)
+    assert rep.value == pytest.approx(bf.value, abs=1e-9)
+    assert rep.theta_star == bf.k_star[0]

@@ -207,6 +207,50 @@ def test_staircase_is_a_spanning_tree_that_meets_the_marginals(seed, N, M, kind)
     assert np.abs(plan.sum(axis=0) - q).max() <= MARGINAL_TOL
 
 
+def _sequential_staircase(p, q):
+    """The north-west-corner walk, one cell at a time: the oracle of `staircase`."""
+    p, q = list(p), list(q)
+    N, M = len(p), len(q)
+    cells, mass = [(0, 0)], []
+    i = j = 0
+    ri, rj = p[0], q[0]
+    while True:
+        move = min(ri, rj)
+        mass.append(move)
+        ri -= move
+        rj -= move
+        adv_i = i + 1 < N and (ri <= 0.0 or j + 1 == M)
+        adv_j = j + 1 < M and (rj <= 0.0 or i + 1 == N)
+        if not (adv_i or adv_j):
+            break
+        if adv_i and adv_j:
+            cells.append((i + 1, j))
+            mass.append(0.0)
+        if adv_i:
+            i += 1
+            ri = p[i]
+        if adv_j:
+            j += 1
+            rj = q[j]
+        cells.append((i, j))
+    ii, jj = np.array(cells, dtype=np.int64).T
+    return ii, jj, np.array(mass)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), N=st.integers(1, 12), M=st.integers(1, 12))
+@example(seed=0, N=1, M=1)
+@example(seed=0, N=12, M=12)
+def test_staircase_matches_the_sequential_walk_on_exact_partial_sums(seed, N, M):
+    # multiples of 1/64, none zero: every partial sum and difference is exact,
+    # so the merge of the cumulative sums and the walk see the same ties
+    rng = np.random.default_rng(seed)
+    p = (1 + rng.multinomial(64 - N, np.ones(N) / N)) / 64.0
+    q = (1 + rng.multinomial(64 - M, np.ones(M) / M)) / 64.0
+    for got, want in zip(staircase(p, q), _sequential_staircase(p, q)):
+        np.testing.assert_array_equal(got, want)
+
+
 # -- warm start ------------------------------------------------------------
 
 

@@ -2,7 +2,10 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from wassalign import tolerance
 from wassalign.measures import (
     CostSpec,
     new_measure,
@@ -14,7 +17,9 @@ from wassalign.measures import (
 from wassalign.ot import (
     PotentialPair,
     c_transform,
+    c_transform_1d,
     cbar_transform,
+    cbar_transform_1d,
     wasserstein,
     wasserstein_1d,
 )
@@ -246,6 +251,56 @@ def test_1d_nan_point_fails_verification():
     # a NaN coordinate makes the duality gap NaN, which must not pass the check
     with pytest.raises(ArithmeticError):
         wasserstein_1d([0.0, np.nan], [0.5, 0.5], [0.0, 1.0], [0.5, 0.5])
+
+
+@pytest.mark.parametrize("y, z", [([0.0, np.inf], [0.0, 1.0]), ([0.0, 1.0], [-np.inf, 1.0])])
+def test_1d_infinite_point_fails_verification(y, z):
+    with pytest.raises(ArithmeticError):
+        wasserstein_1d(y, [0.5, 0.5], z, [0.5, 0.5])
+
+
+def _line_instance(rng, N, M, kind, scale):
+    """N source and M target points on the line, at the given scale."""
+    if kind == "grid":  # duplicate points and equal costs
+        y = rng.integers(-3, 4, size=N) * scale
+        z = rng.integers(-3, 4, size=M) * scale
+    else:
+        y, z = rng.normal(size=N) * scale, rng.normal(size=M) * scale
+    return y.astype(float), z.astype(float)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    N=st.integers(1, 14),
+    M=st.integers(1, 14),
+    power=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    log_scale=st.floats(-4.0, 5.0),
+    kind=st.sampled_from(["normal", "grid"]),
+    psi_kind=st.sampled_from(["random", "coarse", "optimal"]),
+)
+@example(seed=0, N=1, M=1, power=2.0, log_scale=0.0, kind="normal", psi_kind="random")
+@example(seed=1, N=1, M=9, power=1.0, log_scale=-4.0, kind="grid", psi_kind="optimal")
+@example(seed=2, N=9, M=1, power=3.0, log_scale=5.0, kind="grid", psi_kind="coarse")
+def test_line_transforms_match_the_dense_transforms(seed, N, M, power, log_scale, kind, psi_kind):
+    rng = np.random.default_rng(seed)
+    y, z = _line_instance(rng, N, M, kind, 10.0**log_scale)
+    C = np.abs(y[:, None] - z[None, :]) ** power
+    largest = float(C.max())
+    if psi_kind == "optimal":  # potentials of an OT solve with zero-weight atoms
+        p = rng.dirichlet(np.ones(N)) * (rng.uniform(size=N) > 0.3)
+        q = rng.dirichlet(np.ones(M)) * (rng.uniform(size=M) > 0.3)
+        p[rng.integers(N)] += 1.0 - p.sum()
+        q[rng.integers(M)] += 1.0 - q.sum()
+        psi = wasserstein_1d(y, p, z, q, power=power).potentials.psi
+    else:
+        psi = rng.uniform(-1.0, 1.0, size=M) * largest
+        if psi_kind == "coarse":  # few distinct values: ties among the row minima
+            psi = np.round(4.0 * psi / max(largest, 1e-300)) * largest / 4.0
+    tol = tolerance.of(largest)
+    phi = cbar_transform_1d(psi, y, z, power)
+    assert np.max(np.abs(phi - cbar_transform(psi, C))) <= tol
+    assert np.max(np.abs(c_transform_1d(phi, y, z, power) - c_transform(phi, C))) <= tol
 
 
 # -- metric and stability properties -----------------------------------------

@@ -49,7 +49,6 @@ from wassalign import tolerance
 from wassalign.lp import LpSolverError
 from wassalign.measures import CostSpec, CostTensor, DiscreteMeasure, pairwise_cost
 from wassalign.ot import (
-    OtResult,
     PotentialPair,
     TransportPlan,
     c_transform,
@@ -468,7 +467,7 @@ def gap_certificate(
     nu: DiscreteMeasure,
     ct: CostTensor,
     dual_value: float,
-    ot_result: OtResult | None = None,
+    solved: tuple | None = None,
     *,
     folded: np.ndarray | None = None,
 ) -> GapCertificate:
@@ -477,21 +476,24 @@ def gap_certificate(
     delta = per-entry objective at k0 minus the alignment value; g is the
     suboptimality of the single-potential dual lift built from the k0 OT
     solve; the identity delta + g = I(k0) - min_k I holds up to solver
-    tolerance, and both gaps are nonnegative.  folded is ct.folded(), for a
+    tolerance, and both gaps are nonnegative.  solved is entry k0's (OT
+    value, psi), solved here when None; folded is ct.folded(), for a
     caller that certifies several entries and folds once.
     """
     N, M, l = ct.shape
     if not 0 <= k0 < l:
         raise ValueError(f"k0={k0} out of range for l={l}")
-    if ot_result is None:
-        ot_result = wasserstein(mu.weights, nu.weights, ct.slice(k0))
+    if solved is None:
+        res = wasserstein(mu.weights, nu.weights, ct.slice(k0))
+        solved = res.value, res.potentials.psi
+    ot_value, psi = solved
     if folded is None:
         folded = ct.folded()
-    pot = _canonical_potentials(ot_result.potentials.psi, _dense_transforms(ct.slice(k0)))
+    pot = _canonical_potentials(psi, _dense_transforms(ct.slice(k0)))
     psibar = _psibar_folded(pot.psi, folded)
     i_curve = mu.weights @ psibar
     i_min = float(i_curve.min())
-    delta = float(ot_result.value + ct.penalties[k0] - dual_value)
+    delta = float(ot_value + ct.penalties[k0] - dual_value)
     g = float(dual_value - (i_min + pot.psi @ nu.weights))
     rhs = float(i_curve[k0] - i_min)
     return GapCertificate(delta, g, rhs)
@@ -506,14 +508,11 @@ def gap_certificates(
     constant, which leaves every certificate unchanged, so no entry is
     solved again, and the cost tensor is folded once for all entries.
     """
-    no_plan = TransportPlan(np.zeros((0, 0)))
     folded = ct.folded()
     certs = []
     for k in range(ct.shape[2]):
-        ot_value = report.per_theta[k] - ct.penalties[k]
-        phi = report.dual.xi[:, k] - ct.penalties[k] + report.gap_curve[k]
-        res = OtResult(ot_value, no_plan, PotentialPair(phi, report.dual.psi[:, k]))
-        certs.append(gap_certificate(k, mu, nu, ct, report.value, res, folded=folded))
+        solved = report.per_theta[k] - ct.penalties[k], report.dual.psi[:, k]
+        certs.append(gap_certificate(k, mu, nu, ct, report.value, solved, folded=folded))
     return certs
 
 
@@ -523,24 +522,23 @@ def gap_certificates(
 
 
 def _entry_solver(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
-    """Exact OT for one family entry, the (cbar, c) transforms of the cost
-    matrix that solver sees, and that matrix's largest magnitude.
-
-    The functions take the image y = T_k(x) of mu's support.  A target on
-    the line under a power of the distance takes the quantile solver, and
-    its transforms are monotone row minima on the line; neither forms a
-    cost matrix.  Any other instance poses the transport LP, and its
-    transforms run over ROW_BLOCK rows of the cost matrix at a time.
-    solve(y, with_plan) returns an OtResult; the transport LP returns its
-    plan either way.
+    """Exact OT for one family entry, and the (cbar, c) transforms of the
+    cost matrix that solver sees.  Both take the image y = T_k(x) of mu's
+    support; solve(y) returns the entry's OtResult and its cost matrix's
+    largest magnitude.  A target on the line under a power of the distance
+    takes the quantile solver, and its transforms are monotone row minima on
+    the line; neither forms a cost matrix.  Any other instance poses the
+    transport LP on a cost matrix formed once per solve, and its transforms
+    run over ROW_BLOCK rows of the cost matrix at a time.
     """
     p, q = mu.weights, nu.weights
     if nu.dim == 1 and cost.kind in ("sq-euclidean", "power"):
         z = nu.points[:, 0]
         power = 2.0 if cost.kind == "sq-euclidean" else cost.p
 
-        def solve(y, with_plan):
-            return wasserstein_1d(y[:, 0], p, z, q, power=power, return_plan=with_plan)
+        def solve(y):
+            largest_cost = max(abs(y.max() - z.min()), abs(z.max() - y.min())) ** power
+            return wasserstein_1d(y[:, 0], p, z, q, power=power), largest_cost
 
         def line_transforms(y):
             return (
@@ -548,10 +546,7 @@ def _entry_solver(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
                 lambda phi: c_transform_1d(phi, y[:, 0], z, power),
             )
 
-        def largest_cost(y):
-            return max(abs(y.max() - z.min()), abs(z.max() - y.min())) ** power
-
-        return solve, line_transforms, largest_cost
+        return solve, line_transforms
 
     def cost_of(y):
         return pairwise_cost(y, nu.points, cost)
@@ -560,11 +555,12 @@ def _entry_solver(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
     # the next one and its simplex starts there instead of at the staircase
     start = None
 
-    def solve(y, with_plan):
+    def solve(y):
         nonlocal start
-        res = wasserstein(p, q, cost_of(y), start=start)
+        C = cost_of(y)
+        res = wasserstein(p, q, C, start=start)
         start = res.basis
-        return res
+        return res, float(np.abs(C).max())
 
     def row_transforms(y):
         blocks = [(a, y[a : a + ROW_BLOCK]) for a in range(0, y.shape[0], ROW_BLOCK)]
@@ -578,7 +574,7 @@ def _entry_solver(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
 
         return cbar, c
 
-    return solve, row_transforms, lambda y: float(np.abs(cost_of(y)).max())
+    return solve, row_transforms
 
 
 def align(
@@ -604,11 +600,11 @@ def align(
     if fam.target_dim != nu.dim:
         raise ValueError(f"family maps into R^{fam.target_dim}, nu lives in R^{nu.dim}")
     penalties = fam.penalties
-    solve, transforms, largest_cost = _entry_solver(mu, nu, cost)
+    solve, transforms = _entry_solver(mu, nu, cost)
     images = [entry.apply(mu.points) for entry in fam]
-    solves = [solve(y, False) for y in images]
+    solves, largest_costs = zip(*(solve(y) for y in images))
     per_theta = np.array([res.value for res in solves]) + penalties
-    size = _folded_size([largest_cost(y) for y in images], penalties)
+    size = _folded_size(largest_costs, penalties)
 
     dual = _assemble_dual(
         per_theta,
@@ -628,8 +624,6 @@ def align(
             "cbar-transform row",
             witness_gap,
         )
-    # the quantile solver leaves plans out of the loop; the optimizer's is formed here
-    star = solves[k] if solves[k].plan.matrix.size else solve(images[k], True)
     return AlignmentReport(
         theta_star=k,
         theta_star_label=fam.labels[k],
@@ -638,7 +632,7 @@ def align(
         i_curve=per_theta - float(dual.psi[:, 0] @ nu.weights),
         gap_curve=per_theta - dual.value,
         per_theta=per_theta,
-        plan=star.plan,
-        potentials=star.potentials,
+        plan=solves[k].plan,
+        potentials=solves[k].potentials,
         dual=dual,
     )

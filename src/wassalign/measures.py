@@ -22,6 +22,7 @@ __all__ = [
     "CostTensor",
     "DegenerateSupportError",
     "new_measure",
+    "probability_vector",
     "whiten",
     "pushforward",
     "pairwise_cost",
@@ -66,7 +67,7 @@ class DiscreteMeasure:
             raise ValueError("points contain non-finite coordinates")
         if np.any(w < 0):
             raise ValueError("negative weight")
-        if abs(w.sum() - 1.0) > tolerance.MEASURE_SUM_TOL:
+        if not abs(w.sum() - 1.0) <= tolerance.MEASURE_SUM_TOL:  # a NaN sum fails too
             raise ValueError(
                 f"weights sum to {w.sum()!r}, expected 1 within {tolerance.MEASURE_SUM_TOL:g}"
             )
@@ -102,12 +103,12 @@ class DiscreteMeasure:
 def new_measure(points, weights=None) -> DiscreteMeasure:
     """Build a validated measure; uniform weights when none are given.
 
-    Weights within WEIGHT_SUM_TOL of summing to 1 are accepted and
-    renormalized so the stored vector sums to 1 within MEASURE_SUM_TOL.
+    Weights pass `probability_vector`, so the stored vector sums to 1
+    within MEASURE_SUM_TOL.
 
     Raises:
-        ValueError: empty points, inconsistent dimensions, negative weight,
-            or weight sum deviating from 1 by more than WEIGHT_SUM_TOL.
+        ValueError: empty points, inconsistent dimensions, or weights that
+            fail `probability_vector`.
     """
     pts = np.asarray(points, dtype=float)
     if pts.size == 0:
@@ -122,13 +123,20 @@ def new_measure(points, weights=None) -> DiscreteMeasure:
         w = np.asarray(weights, dtype=float)
         if w.shape != (pts.shape[0],):
             raise ValueError(f"weights shape {w.shape} does not match {pts.shape[0]} points")
-        if np.any(w < 0):
-            raise ValueError("negative weight")
-        total = w.sum()
-        if abs(total - 1.0) > tolerance.WEIGHT_SUM_TOL:
-            raise ValueError(f"weight-sum deviation: weights sum to {total!r}, expected 1")
-        w = w / total
+        w = probability_vector(w)
     return DiscreteMeasure(pts, w)
+
+
+def probability_vector(w, name: str = "weights") -> np.ndarray:
+    """w renormalized to sum 1; raises ValueError unless w is nonnegative and
+    sums to 1 within WEIGHT_SUM_TOL, which a NaN or infinite weight fails."""
+    w = np.asarray(w, dtype=float)
+    if np.any(w < 0):
+        raise ValueError(f"{name} is not a probability vector: negative weight")
+    total = w.sum()
+    if not abs(total - 1.0) <= tolerance.WEIGHT_SUM_TOL:
+        raise ValueError(f"{name} is not a probability vector: weight-sum {total!r}")
+    return w / total
 
 
 def whiten(m: DiscreteMeasure) -> DiscreteMeasure:

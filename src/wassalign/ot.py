@@ -1,4 +1,4 @@
-"""Exact discrete optimal transport: values, plans, Kantorovich potentials.
+"""Exact discrete optimal transport: values, vertex plans, Kantorovich potentials.
 
 The transport LP is solved by the revised simplex in `wassalign.lp`, which
 starts from the north-west-corner staircase of the weights, or from the
@@ -11,9 +11,10 @@ sorted supports, is the monotone coupling, which is optimal for costs
 O((N + M) log(N + M)) and certifies them by the duality gap.  On the line
 the cost minus a potential is a Monge matrix, so its cbar- and
 c-transforms (`cbar_transform_1d`, `c_transform_1d`) take monotone row
-minima instead of a pass over all N x M cells.  Both solvers take
-nonnegative weights whose sums are within WEIGHT_SUM_TOL of 1, and
-renormalize them.
+minima instead of a pass over all N x M cells.  Both solvers return their
+plan as its support (`TransportPlan`), the N + M - 1 cells of the optimal
+basis or of the staircase, and check and renormalize their weights by
+`measures.probability_vector`.
 
 Transforms follow the asymmetric convention
     cbar_transform(psi)[i] = min_j (C[i, j] - psi[j])   (potential on sources)
@@ -28,6 +29,7 @@ import numpy as np
 
 from wassalign import tolerance
 from wassalign.lp import LpSolverError, LpStatus, TransportLp, solve_lp, staircase
+from wassalign.measures import probability_vector
 
 __all__ = [
     "TransportPlan",
@@ -44,23 +46,52 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TransportPlan:
-    """Nonnegative coupling matrix with prescribed row and column sums."""
+    """A coupling of shape (N, M) held as its support: cell k moves mass[k]
+    from source rows[k] to target cols[k], each cell listed once.
 
-    matrix: np.ndarray
+    Both solvers return a vertex of the transport polytope, at most
+    N + M - 1 cells, so a plan takes O(N + M) memory; `matrix` forms the
+    dense coupling only when asked.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    mass: np.ndarray
+    shape: tuple
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=float)
-        if m.ndim != 2:
-            raise ValueError(f"plan must be a matrix, got shape {m.shape}")
-        if m.min(initial=0.0) < -tolerance.PLAN_ZERO:
+        rows, cols = np.asarray(self.rows, dtype=np.intp), np.asarray(self.cols, dtype=np.intp)
+        mass = np.asarray(self.mass, dtype=float)
+        N, M = self.shape
+        if mass.ndim != 1 or rows.shape != mass.shape or cols.shape != mass.shape:
+            raise ValueError("rows, cols and mass must be vectors of one length")
+        np.ravel_multi_index((rows, cols), (N, M))  # raises ValueError on a cell outside
+        if mass.min(initial=0.0) < -tolerance.PLAN_ZERO:
             raise ValueError("negative plan entry")
-        object.__setattr__(self, "matrix", m)
+        for name, v in (("rows", rows), ("cols", cols), ("mass", mass), ("shape", (N, M))):
+            object.__setattr__(self, name, v)
+
+    @classmethod
+    def from_matrix(cls, P) -> TransportPlan:
+        """The plan whose cells are the nonzero entries of the coupling matrix P."""
+        P = np.asarray(P, dtype=float)
+        if P.ndim != 2:
+            raise ValueError(f"plan must be a matrix, got shape {P.shape}")
+        rows, cols = np.nonzero(P)
+        return cls(rows, cols, P[rows, cols], P.shape)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense N x M coupling."""
+        m = np.zeros(self.shape)
+        m[self.rows, self.cols] = self.mass
+        return m
 
     def row_sums(self) -> np.ndarray:
-        return self.matrix.sum(axis=1)
+        return np.bincount(self.rows, weights=self.mass, minlength=self.shape[0])
 
     def col_sums(self) -> np.ndarray:
-        return self.matrix.sum(axis=0)
+        return np.bincount(self.cols, weights=self.mass, minlength=self.shape[1])
 
     def check_marginals(
         self, p: np.ndarray, q: np.ndarray, tol: float = tolerance.MARGINAL_TOL
@@ -72,7 +103,7 @@ class TransportPlan:
 
     @property
     def nnz(self) -> int:
-        return int(np.count_nonzero(self.matrix > tolerance.PLAN_ZERO))
+        return int(np.count_nonzero(self.mass > tolerance.PLAN_ZERO))
 
 
 @dataclass(frozen=True)
@@ -116,21 +147,11 @@ def c_transform(phi: np.ndarray, C: np.ndarray) -> np.ndarray:
     return (C - phi[:, None]).min(axis=0)
 
 
-def _probability(w, name: str) -> np.ndarray:
-    """w renormalized to sum 1, after checking that it is nonnegative and
-    sums to 1 within WEIGHT_SUM_TOL."""
-    w = np.asarray(w, dtype=float)
-    total = w.sum()
-    if np.any(w < 0) or not abs(total - 1.0) <= tolerance.WEIGHT_SUM_TOL:
-        raise ValueError(f"{name} is not a probability vector")
-    return w / total
-
-
 def wasserstein(p, q, C, start=None) -> OtResult:
     """Exact OT between weight vectors p, q under the cost matrix C.
 
-    Returns the minimal cost, an optimal (vertex) plan, and Kantorovich
-    potentials from the LP row duals.  The source potential is recomputed as
+    Returns the minimal cost, an optimal vertex plan on the cells of the
+    optimal simplex basis, and Kantorovich potentials from the LP row duals.  The source potential is recomputed as
     cbar_transform(psi), which keeps the dual objective and yields the
     canonical cbar-concave representative.
 
@@ -146,11 +167,12 @@ def wasserstein(p, q, C, start=None) -> OtResult:
             q and C do not match, or C is not finite.
         LpSolverError: the inner LP solve did not return an optimal status.
     """
-    prob = TransportLp(C, _probability(p, "p"), _probability(q, "q"))
+    prob = TransportLp(C, probability_vector(p, "p"), probability_vector(q, "q"))
     sol = solve_lp(prob, start=start)
     if sol.status is not LpStatus.OPTIMAL:
         raise LpSolverError(f"transport LP ended with status {sol.status.value}: {sol.message}")
-    plan = TransportPlan(sol.primal.reshape(prob.cost.shape))
+    rows, cols = np.divmod(sol.basis, prob.q.size)
+    plan = TransportPlan(rows, cols, sol.primal[sol.basis], prob.cost.shape)
     psi = sol.dual_rows[prob.p.size :]
     phi = cbar_transform(psi, prob.cost)
     return OtResult(float(sol.objective), plan, PotentialPair(phi, psi), basis=sol.basis)
@@ -240,7 +262,7 @@ def _propagate_potentials(cost, ii):
     return phi, psi
 
 
-def wasserstein_1d(y, p, z, q, power: float = 2.0, return_plan: bool = True) -> OtResult:
+def wasserstein_1d(y, p, z, q, power: float = 2.0) -> OtResult:
     """Exact OT on the line for the cost |y - z|^power, power >= 1.
 
     Weights are checked and renormalized as for `wasserstein`; a zero-weight
@@ -252,13 +274,13 @@ def wasserstein_1d(y, p, z, q, power: float = 2.0, return_plan: bool = True) -> 
     value, checked against the tolerance of the largest cost; a failed
     check, or a NaN or infinite point, raises ArithmeticError.
 
-    Cost: O((N + M) log(N + M)) -- the sorts, the staircase, and the
-    cbar-transform by monotone row minima -- and no N x M matrix unless
-    return_plan asks for the dense plan.
+    The plan is the staircase's N + M - 1 cells.  Cost: O((N + M) log(N + M))
+    -- the sorts, the staircase, and the cbar-transform by monotone row
+    minima -- and no N x M matrix.
     """
     y = np.asarray(y, dtype=float).ravel()
     z = np.asarray(z, dtype=float).ravel()
-    p, q = _probability(np.ravel(p), "p"), _probability(np.ravel(q), "q")
+    p, q = probability_vector(np.ravel(p), "p"), probability_vector(np.ravel(q), "q")
     if power < 1.0:
         raise ValueError("power must be >= 1")
     if y.shape != p.shape or z.shape != q.shape:
@@ -289,11 +311,5 @@ def wasserstein_1d(y, p, z, q, power: float = 2.0, return_plan: bool = True) -> 
     psi = np.empty(M)
     phi[order_y] = phi_s
     psi[order_z] = psi_s
-
-    if return_plan:
-        matrix = np.zeros((N, M))
-        np.add.at(matrix, (order_y[ii], order_z[jj]), mm)
-        plan = TransportPlan(matrix)
-    else:
-        plan = TransportPlan(np.zeros((0, 0)))
+    plan = TransportPlan(order_y[ii], order_z[jj], mm, (N, M))
     return OtResult(value, plan, PotentialPair(phi, psi))

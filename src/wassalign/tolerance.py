@@ -1,13 +1,13 @@
-"""Every threshold of `measures`, `lp`, `ot` and `alignment`, kept in one place.
+"""Every threshold of `measures`, `lp`, `ot`, `alignment` and `euclidean`, kept in one place.
 
 A threshold on values -- costs, objectives, reduced costs, right-hand sides,
 potentials -- is REL times the size of the data it compares (`of`), so
 answers do not depend on units; a covariance is judged degenerate by the
 ratio of its eigenvalues, for the same reason.  Masses, basis-matrix
-entries and orthonormal-column residuals are unit-free (weights sum to 1;
-the transport simplex's constraint matrix holds only 0 and 1, so the
-inverse of its tree bases holds only 0 and +-1), so their thresholds are
-absolute.  The two cross-check LPs of `alignment` pass no thresholds to
+entries, orthonormal-column residuals and the moments of a whitened measure
+are unit-free (weights sum to 1; the transport simplex's constraint matrix
+holds only 0 and 1, so the inverse of its tree bases holds only 0 and +-1;
+a whitened covariance is I), so their thresholds are absolute.  The two cross-check LPs of `alignment` pass no thresholds to
 HiGHS; they scale their costs instead.
 """
 
@@ -24,6 +24,7 @@ FACTOR_TOL = 1e-8  # basis-matrix entries: largest |B inv(B) - I| of a start bas
 COV_EIG_RATIO = 1e-12  # smallest over largest covariance eigenvalue of a degenerate support
 STIEFEL_TOL = 1e-10  # largest |A^T A - I| entry of a matrix with orthonormal columns
 DUAL_FEAS_TOL = 1e-8  # phi_i + psi_j - C_ij of OT potentials, on costs of unit size
+WHITENED_TOL = 1e-10  # largest |mean| and |covariance - I| entry of a whitened measure
 
 
 def of(*data) -> float:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -370,6 +372,10 @@ def test_align_solves_each_entry_once(monkeypatch):
     C, res = calls[k]
     assert report.plan is res.plan
     assert report.potentials is res.potentials
+    # the plan is the optimal basis: its cells and nothing else
+    cells = sorted(zip(report.plan.rows.tolist(), report.plan.cols.tolist()))
+    assert cells == sorted(divmod(int(b), nu.size) for b in res.basis)
+    np.testing.assert_array_equal(report.plan.matrix.ravel()[res.basis], report.plan.mass)
     np.testing.assert_allclose(C, build_cost_tensor(mu, nu, fam, spec).slice(k), atol=1e-12)
     assert report.potentials.objective(mu.weights, nu.weights) == pytest.approx(
         report.per_theta[k] - fam.penalties[k], abs=1e-9
@@ -424,6 +430,38 @@ def test_quantile_route_forms_no_cost_rows(monkeypatch):
 
     for name in ("pairwise_cost", "cbar_transform", "c_transform"):
         monkeypatch.setattr(wassalign.alignment, name, refuse)
+    solve, calls = wassalign.alignment.wasserstein_1d, []
+
+    def counted(*args, **kwargs):
+        calls.append(solve(*args, **kwargs))
+        return calls[-1]
+
+    monkeypatch.setattr(wassalign.alignment, "wasserstein_1d", counted)
     rep = align(mu, nu, fam, spec)
     assert rep.value == pytest.approx(bf.value, abs=1e-9)
     assert rep.theta_star == bf.k_star[0]
+    # one solve per entry; the optimizer's plan is its staircase's cells
+    assert len(calls) == len(fam)
+    assert rep.plan is calls[rep.theta_star].plan
+    assert rep.plan.mass.size == mu.size + nu.size - 1
+
+
+def test_quantile_route_holds_no_dense_plan():
+    # at 1500 x 1500 one dense N x M array is 18 MB; the plan's cells are O(N + M)
+    rng = np.random.default_rng(20)
+    N = M = 1500
+    mu = new_measure(rng.normal(size=(N, 2)))
+    nu = new_measure(rng.normal(size=(M, 1)))
+    entries = tuple(
+        FamilyEntry(f"t{k}", np.array([[np.cos(t), np.sin(t)]]), np.zeros(1))
+        for k, t in enumerate(rotation_grid_angles(8))
+    )
+    fam, spec = TransformFamily(entries), CostSpec.squared_euclidean()
+    tracemalloc.start()
+    try:
+        rep = align(mu, nu, fam, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < N * M * 8 / 4
+    rep.plan.check_marginals(mu.weights, nu.weights)

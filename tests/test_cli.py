@@ -98,6 +98,20 @@ def test_align_missing_input(tmp_path, capsys):
     assert "absent.csv" in capsys.readouterr().err
 
 
+def test_align_nan_weight_is_an_input_error(tmp_path, capsys):
+    pts = np.random.default_rng(9).normal(size=(4, 2))
+    mu = tmp_path / "mu.csv"
+    write_cloud(mu, pts, weights=[np.nan, 0.5, 0.25, 0.25], header=["x", "y", "weight"])
+    rc = main([
+        "align", "--mu", str(mu), "--nu", str(mu),
+        "--family", "rotations2d:4", "--out", str(tmp_path / "r.json"),
+    ])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "probability vector" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_align_bad_family_spec(tmp_path, cloud_pair, capsys):
     mu, nu, _ = cloud_pair
     rc = main([

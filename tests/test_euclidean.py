@@ -39,7 +39,9 @@ def test_updown_constant_product_and_optimal_couplings():
         optimal = updown_check(mu, nu, A, gamma=res.plan)
         assert optimal.residual <= 1e-9
         # an arbitrary non-optimal coupling works as well
-        mid = TransportPlan(0.5 * res.plan.matrix + 0.5 * np.outer(mu.weights, nu.weights))
+        mid = TransportPlan.from_matrix(
+            0.5 * res.plan.matrix + 0.5 * np.outer(mu.weights, nu.weights)
+        )
         assert updown_check(mu, nu, A, gamma=mid).residual <= 1e-9
 
 
@@ -58,7 +60,7 @@ def test_updown_rejects_bad_inputs():
 def test_barycentric_identity_permutation():
     rng = np.random.default_rng(4)
     Y = rng.normal(size=(5, 2))
-    plan = TransportPlan(np.eye(5) / 5.0)
+    plan = TransportPlan.from_matrix(np.eye(5) / 5.0)
     np.testing.assert_allclose(barycentric_map(plan, Y), Y, atol=1e-12)
 
 
@@ -67,14 +69,15 @@ def test_barycentric_product_plan_is_constant():
     Y = rng.normal(size=(6, 2))
     p = rng.dirichlet(np.ones(6))
     q = rng.dirichlet(np.ones(4))
-    plan = TransportPlan(np.outer(p, q))
+    plan = TransportPlan.from_matrix(np.outer(p, q))
     out = barycentric_map(plan, Y)
     mean = p @ Y
     np.testing.assert_allclose(out, np.tile(mean, (4, 1)), atol=1e-12)
 
 
 def test_barycentric_matches_hand_computation():
-    plan = TransportPlan(np.array([[0.2, 0.1, 0.0], [0.0, 0.3, 0.1], [0.1, 0.0, 0.2]]))
+    P = np.array([[0.2, 0.1, 0.0], [0.0, 0.3, 0.1], [0.1, 0.0, 0.2]])
+    plan = TransportPlan.from_matrix(P)
     Y = np.array([[1.0], [2.0], [3.0]])
     out = barycentric_map(plan, Y)
     col = plan.matrix.sum(axis=0)
@@ -89,7 +92,7 @@ def test_barycentric_matches_hand_computation():
 
 
 def test_barycentric_zero_column_mass():
-    plan = TransportPlan(np.array([[0.5, 0.0], [0.5, 0.0]]))
+    plan = TransportPlan.from_matrix(np.array([[0.5, 0.0], [0.5, 0.0]]))
     with pytest.raises(ValueError, match="zero column mass"):
         barycentric_map(plan, np.array([[1.0], [2.0]]))
 
@@ -97,7 +100,7 @@ def test_barycentric_zero_column_mass():
 def test_cross_correlation_defect_zero_in_one_dimension():
     rng = np.random.default_rng(6)
     nu = new_measure(rng.normal(size=(5, 1)))
-    plan = TransportPlan(np.outer(np.full(4, 0.25), nu.weights))
+    plan = TransportPlan.from_matrix(np.outer(np.full(4, 0.25), nu.weights))
     cc = cross_correlation(plan, nu, rng.normal(size=(4, 1)))
     assert cc.defect == 0.0
 
@@ -105,7 +108,7 @@ def test_cross_correlation_defect_zero_in_one_dimension():
 def test_cross_correlation_identity_transport_is_symmetric():
     rng = np.random.default_rng(7)
     nu = new_measure(rng.normal(size=(6, 2)))
-    plan = TransportPlan(np.diag(nu.weights))
+    plan = TransportPlan.from_matrix(np.diag(nu.weights))
     cc = cross_correlation(plan, nu, nu.points)
     # Tbar(z_j) = z_j makes C the (symmetric) second-moment matrix
     assert cc.defect <= 1e-12

@@ -4,6 +4,7 @@ import pytest
 from wassalign.measures import (
     CostSpec,
     DegenerateSupportError,
+    DiscreteMeasure,
     FamilyEntry,
     TransformFamily,
     build_cost_tensor,
@@ -36,6 +37,15 @@ def test_weight_sum_deviation_rejected():
 def test_negative_weight_rejected():
     with pytest.raises(ValueError, match="negative"):
         new_measure([(0.0,), (1.0,)], weights=[1.5, -0.5])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weight_rejected(bad):
+    # a NaN sum passes no comparison, so the sum test must be written to fail it
+    with pytest.raises(ValueError, match="weights is not a probability vector"):
+        new_measure([[0.0, 0.0], [1.0, 0.0]], weights=[bad, 0.5])
+    with pytest.raises(ValueError):
+        DiscreteMeasure(np.array([[0.0], [1.0]]), np.array([bad, 0.5]))
 
 
 def test_dimension_mismatch_rejected():

@@ -16,6 +16,7 @@ from wassalign.measures import (
 )
 from wassalign.ot import (
     PotentialPair,
+    TransportPlan,
     c_transform,
     c_transform_1d,
     cbar_transform,
@@ -61,9 +62,26 @@ def test_plan_marginals_and_potentials():
         C = rng.uniform(0, 10, size=(N, M))
         res = wasserstein(p, q, C)
         res.plan.check_marginals(p, q)
+        # the cells give the dense plan's sums and nnz, and a dense plan its cells back
+        P = res.plan.matrix
+        np.testing.assert_allclose(res.plan.row_sums(), P.sum(axis=1), rtol=0, atol=1e-15)
+        np.testing.assert_allclose(res.plan.col_sums(), P.sum(axis=0), rtol=0, atol=1e-15)
+        assert res.plan.nnz == np.count_nonzero(P > tolerance.PLAN_ZERO)
+        dense = TransportPlan.from_matrix(P)
+        np.testing.assert_array_equal(dense.matrix, P)
+        assert dense.nnz == res.plan.nnz and dense.shape == (N, M)
         # dual feasibility and strong duality at the returned potentials
         assert res.potentials.feasibility_violation(C) <= 1e-8
         assert res.potentials.objective(p, q) == pytest.approx(res.value, abs=1e-7)
+
+
+def test_plan_rejects_a_cell_outside_its_shape_and_negative_mass():
+    with pytest.raises(ValueError):
+        TransportPlan([0, 2], [0, 0], [0.5, 0.5], (2, 1))
+    with pytest.raises(ValueError, match="negative"):
+        TransportPlan([0, 1], [0, 0], [1.5, -0.5], (2, 1))
+    with pytest.raises(ValueError, match="one length"):
+        TransportPlan([0, 1], [0], [0.5, 0.5], (2, 1))
 
 
 def test_warm_started_sequence_matches_cold_solves():

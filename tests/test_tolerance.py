@@ -4,7 +4,7 @@ Scaling both clouds by s scales a distance-power cost |y - z|^p by s^p and
 leaves the optimal family entries unchanged.  Each property runs on rotation
 registrations, which take the transport-LP route of `align`, and on
 projections onto the line, which take the quantile route.  The last test
-keeps every threshold of measures, lp, ot and alignment inside
+keeps every threshold of measures, lp, ot, alignment and euclidean inside
 `wassalign.tolerance`.
 """
 
@@ -183,7 +183,9 @@ def _small_float_literals(path):
     ]
 
 
-@pytest.mark.parametrize("module", ["measures.py", "lp.py", "ot.py", "alignment.py"])
+@pytest.mark.parametrize(
+    "module", ["measures.py", "lp.py", "ot.py", "alignment.py", "euclidean.py"]
+)
 def test_thresholds_live_in_the_tolerance_policy(module):
     path = pathlib.Path(wassalign.__file__).parent / module
     assert _small_float_literals(path) == []

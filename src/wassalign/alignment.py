@@ -29,7 +29,7 @@ the per-entry Kantorovich potentials, shifted to a common mean, assemble
 into an optimal dual point whose objective equals the brute-force value, so
 weak duality certifies it.  `align` is built on that assembly: one exact OT
 solve per family entry, one assembled dual, one argmin rule; the joint LP
-(`solve_dual(method="lp")`) and the relaxed primal are the cross-checks.
+(`solve_dual`) and the relaxed primal are the cross-checks.
 
 Solvers: the per-entry OT solves use `wassalign.ot` (the warm-started
 transport simplex of `wassalign.lp`, or the quantile solver on the line).
@@ -68,7 +68,6 @@ __all__ = [
     "RelaxedPrimal",
     "GapCertificate",
     "AlignmentReport",
-    "per_entry_ot",
     "solve_dual",
     "extract_theta",
     "brute_force",
@@ -223,60 +222,29 @@ def _canonical_potentials(raw_psi: np.ndarray, transforms) -> PotentialPair:
 # ---------------------------------------------------------------------------
 
 
-def per_entry_ot(mu: DiscreteMeasure, nu: DiscreteMeasure, ct: CostTensor):
-    """One exact OT solve per family entry; returns (per_theta, solves)."""
-    l = ct.shape[2]
-    per_theta = np.empty(l)
-    solves = []
-    for k in range(l):
-        res = wasserstein(mu.weights, nu.weights, ct.slice(k))
-        solves.append(res)
-        per_theta[k] = res.value + ct.penalties[k]
-    return per_theta, solves
-
-
 def brute_force(mu: DiscreteMeasure, nu: DiscreteMeasure, ct: CostTensor) -> BruteForceResult:
-    """Literal minimum over the family of per-entry OT value plus penalty."""
-    per_theta, _ = per_entry_ot(mu, nu, ct)
+    """Literal minimum over the family of per-entry OT value plus penalty:
+    one exact OT solve per family entry."""
+    values = [wasserstein(mu.weights, nu.weights, ct.slice(k)).value for k in range(ct.shape[2])]
+    per_theta = np.array(values) + ct.penalties
     size = _tensor_size(ct)
     return BruteForceResult(_argmin_set(per_theta, size), float(per_theta.min()), per_theta)
 
 
-def solve_dual(
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    ct: CostTensor,
-    method: str = "lp",
-) -> AlignmentDual:
-    """Solve the alignment dual exactly.
+def solve_dual(mu: DiscreteMeasure, nu: DiscreteMeasure, ct: CostTensor) -> AlignmentDual:
+    """Solve the alignment dual exactly: the joint (xi, psi) LP, by the
+    HiGHS dual simplex.
 
-    method: "lp" poses the joint (xi, psi) LP and solves it with the HiGHS
-    dual simplex, the independent cross-check of the assembled dual (this
-    route imports scipy); "certificate" assembles an optimal dual point from
-    the per-entry OT potentials, exact by a weak-duality certificate, as
-    `align` does.
-    """
-    if method == "lp":
-        return _solve_dual_lp(mu.weights, nu.weights, ct)
-    if method == "certificate":
-        per_theta, solves = per_entry_ot(mu, nu, ct)
-        pots = [res.potentials for res in solves]
-        return _assemble_dual(
-            per_theta, pots, ct.penalties, nu.weights, lambda k: _dense_transforms(ct.slice(k))
-        )
-    raise ValueError(f"unknown method {method!r}")
-
-
-def _solve_dual_lp(p: np.ndarray, q: np.ndarray, ct: CostTensor) -> AlignmentDual:
-    """The joint (xi, psi) LP, solved by the HiGHS dual simplex.
-
-    HiGHS's tolerances are absolute, so the folded costs are divided by
-    their size before the solve and the solution is multiplied back.
+    This is the independent cross-check of the dual that `align` assembles
+    from its per-entry OT potentials, and it imports scipy.  HiGHS's
+    tolerances are absolute, so the folded costs are divided by their size
+    before the solve and the solution is multiplied back.
     """
     import scipy.sparse as sp
     from scipy.optimize import linprog
 
     N, M, l = ct.shape
+    p, q = mu.weights, nu.weights
     size = _tensor_size(ct) or 1.0  # all-zero costs: nothing to scale
     n_vars = N * l + M * l
     obj = np.zeros(n_vars)
@@ -414,10 +382,10 @@ def extract_theta(dual: AlignmentDual, ct: CostTensor, p: np.ndarray) -> ThetaEx
     optimum.  Also verifies the slack witness: some argmin k must satisfy
     xi_ik = min_j (c_ijk + R_k - psi_jk) for every i.
 
-    On a joint-LP dual (`solve_dual(method="lp")`) k_star can be a strict
-    superset of the optimal entries: the columns of an entry without channel
-    mass need not be a Kantorovich pair of that entry, and its I-curve value
-    can sit at the minimum.  On test_tolerance's rotation instance with seed
+    On a joint-LP dual (`solve_dual`) k_star can be a strict superset of
+    the optimal entries: the columns of an entry without channel mass need
+    not be a Kantorovich pair of that entry, and its I-curve value can sit
+    at the minimum.  On test_tolerance's rotation instance with seed
     1, k_star is [1, 2, 4, 5, 6, 7] against brute force's [2].  `align`'s
     k_star is exact: it compares the per-entry OT values themselves.
     """
@@ -592,8 +560,8 @@ def align(
     the smallest index whose objective lies within tolerance of the
     minimum, and the complementary-slackness witness is checked there.  Cost
     matrices are formed one entry at a time, so memory grows with N*M, not
-    N*M*l.  solve_dual(method="lp") on build_cost_tensor of the same
-    instance is the independent cross-check.
+    N*M*l.  solve_dual on build_cost_tensor of the same instance is the
+    independent cross-check.
     """
     if fam.source_dim != mu.dim:
         raise ValueError(f"family maps from R^{fam.source_dim}, mu lives in R^{mu.dim}")

@@ -38,7 +38,6 @@ __all__ = [
     "LpSolverError",
     "LpStatus",
     "solve_lp",
-    "check_solution",
     "staircase",
 ]
 
@@ -315,25 +314,3 @@ def solve_lp(prob: TransportLp, start=None) -> LpSolution:
         iterations=sx.iterations,
         basis=sx.basis.copy(),
     )
-
-
-def check_solution(prob: TransportLp, sol: LpSolution) -> dict:
-    """Residuals of an OPTIMAL solution: primal/dual feasibility and gap."""
-    if sol.status is not LpStatus.OPTIMAL:
-        raise ValueError("check_solution expects an optimal solution")
-    x, y = sol.primal, sol.dual_rows
-    X = x.reshape(prob.cost.shape)
-    b = prob.rhs()
-    slack = np.concatenate([X.sum(axis=1), X.sum(axis=0)]) - b
-    viol = max(float(np.abs(slack).max()), float(np.max(-x, initial=0.0)))
-    # a cell at zero needs a nonnegative reduced cost, a positive cell a zero one
-    z = prob.cost.ravel() - _cell_sums(y, prob.p.size)
-    at_zero = x <= tolerance.of(x)
-    var_viol = np.where(at_zero, -z, np.abs(z))
-    scale = 1.0 + float(np.abs(prob.cost).max())
-    return {
-        "primal_infeasibility": viol,
-        "dual_infeasibility": float(np.max(var_viol, initial=0.0)) / scale,
-        "complementary_slackness": float(np.max(np.abs(y * slack), initial=0.0)),
-        "duality_gap": abs(sol.objective - float(y @ b)),
-    }

@@ -1,8 +1,8 @@
 """Standard-normal machinery and the analytic normal-mixture example.
 
-Phi is evaluated without table lookups: a Taylor-type series around 0 for
-|t| <= 4 and a continued-fraction tail expansion beyond, both to ~1e-15.
-Phi^{-1} uses a rational initial guess polished by two Newton steps on Phi.
+Phi and its upper tail come from the complementary error function,
+`math.erfc`, so neither tail loses precision to cancellation; Phi^{-1} is
+`statistics.NormalDist().inv_cdf`.  Both are stdlib, so no scipy is loaded.
 
 The mixture example: the symmetric two-component normal mixture on the plane
 projects, along a unit direction lam, to the one-dimensional mixture
@@ -25,6 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -34,7 +35,6 @@ from wassalign.measures import CostSpec, FamilyEntry, TransformFamily, new_measu
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "std_normal_pdf",
     "std_normal_cdf",
     "std_normal_inv_cdf",
     "mixture_brenier",
@@ -47,98 +47,25 @@ __all__ = [
     "projection_family",
 ]
 
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-_SERIES_CUTOFF = 4.0
-
-
-def std_normal_pdf(t: float) -> float:
-    return math.exp(-0.5 * t * t) / _SQRT_2PI
-
-
-def _cdf_series(t: float) -> float:
-    """Phi(t) - 1/2 = pdf(t) * sum_k t^(2k+1) / (1 * 3 * ... * (2k+1))."""
-    term = t
-    acc = t
-    k = 0
-    while abs(term) > 1e-18 * max(1.0, abs(acc)):
-        k += 1
-        term *= t * t / (2.0 * k + 1.0)
-        acc += term
-        if k > 400:
-            break
-    return std_normal_pdf(t) * acc
-
-
-def _tail_cf(t: float, depth: int = 80) -> float:
-    """Upper tail Q(t) = pdf(t) / (t + 1/(t + 2/(t + 3/(...)))) for t >= 4."""
-    f = t
-    for n in range(depth, 0, -1):
-        f = t + n / f
-    return std_normal_pdf(t) / f
+_SQRT2 = math.sqrt(2.0)
+_STD_NORMAL = NormalDist()
 
 
 def std_normal_cdf(t: float) -> float:
-    """Standard normal CDF with absolute error below 1e-12."""
+    """Standard normal CDF, 0.5 * erfc(-t / sqrt 2): accurate in both tails."""
     t = float(t)
     if not math.isfinite(t):
         raise ValueError("std_normal_cdf expects a finite argument")
-    if abs(t) <= _SERIES_CUTOFF:
-        return 0.5 + _cdf_series(t)
-    if t > 0:
-        return 1.0 - _tail_cf(t)
-    return _tail_cf(-t)
+    return 0.5 * math.erfc(-t / _SQRT2)
 
 
 def _sf(t: float) -> float:
     """Upper-tail probability 1 - Phi(t), accurate for large positive t."""
-    if t >= _SERIES_CUTOFF:
-        return _tail_cf(t)
-    if t <= -_SERIES_CUTOFF:
-        return 1.0 - _tail_cf(-t)
-    return 0.5 - _cdf_series(t)
-
-
-# Rational approximation coefficients for the initial inverse-CDF guess
-# (relative error ~1e-9 before Newton polish).
-_A = (
-    -3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-    1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00,
-)
-_B = (
-    -5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-    6.680131188771972e01, -1.328068155288572e01,
-)
-_C = (
-    -7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-    -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00,
-)
-_D = (
-    7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-    3.754408661907416e00,
-)
-
-
-def _inv_cdf_guess(u: float) -> float:
-    u_low = 0.02425
-    if u < u_low:
-        q = math.sqrt(-2.0 * math.log(u))
-        return (
-            ((((_C[0] * q + _C[1]) * q + _C[2]) * q + _C[3]) * q + _C[4]) * q + _C[5]
-        ) / ((((_D[0] * q + _D[1]) * q + _D[2]) * q + _D[3]) * q + 1.0)
-    if u > 1.0 - u_low:
-        return -_inv_cdf_guess(1.0 - u)
-    q = u - 0.5
-    r = q * q
-    return (
-        ((((_A[0] * r + _A[1]) * r + _A[2]) * r + _A[3]) * r + _A[4]) * r + _A[5]
-    ) * q / (((((_B[0] * r + _B[1]) * r + _B[2]) * r + _B[3]) * r + _B[4]) * r + 1.0)
+    return 0.5 * math.erfc(t / _SQRT2)
 
 
 def std_normal_inv_cdf(u: float) -> float:
-    """Quantile function of the standard normal.
-
-    Rational initial approximation refined by two Newton steps on the CDF;
-    the round-trip error |Phi(Phi^{-1}(u)) - u| stays below 1e-9.
+    """Quantile function of the standard normal (`statistics.NormalDist`).
 
     Raises:
         ValueError: u outside the open interval (0, 1).
@@ -146,13 +73,7 @@ def std_normal_inv_cdf(u: float) -> float:
     u = float(u)
     if not 0.0 < u < 1.0:
         raise ValueError(f"quantile argument must be in (0, 1), got {u!r}")
-    x = _inv_cdf_guess(u)
-    for _ in range(2):
-        density = std_normal_pdf(x)
-        if density < 1e-280:
-            break
-        x -= (std_normal_cdf(x) - u) / density
-    return x
+    return _STD_NORMAL.inv_cdf(u)
 
 
 def mixture_brenier(c: float, y: float) -> float:

@@ -44,7 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportPlan:
     """A coupling of shape (N, M) held as its support: cell k moves mass[k]
     from source rows[k] to target cols[k], each cell listed once.
@@ -106,7 +106,7 @@ class TransportPlan:
         return int(np.count_nonzero(self.mass > tolerance.PLAN_ZERO))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PotentialPair:
     """Dual pair (phi on sources, psi on targets) with phi_i + psi_j <= C_ij."""
 
@@ -120,13 +120,13 @@ class PotentialPair:
         return float(np.max(self.phi[:, None] + self.psi[None, :] - C, initial=-np.inf))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OtResult:
     value: float
     plan: TransportPlan
     potentials: PotentialPair
     # optimal simplex basis of the transport LP (None from the quantile solver)
-    basis: np.ndarray | None = field(default=None, repr=False, compare=False)
+    basis: np.ndarray | None = field(default=None, repr=False)
 
 
 def cbar_transform(psi: np.ndarray, C: np.ndarray) -> np.ndarray:

@@ -23,7 +23,6 @@ PIVOT_TOL = 1e-11  # basis-matrix entries: smallest admissible pivot
 FACTOR_TOL = 1e-8  # basis-matrix entries: largest |B inv(B) - I| of a start basis
 COV_EIG_RATIO = 1e-12  # smallest over largest covariance eigenvalue of a degenerate support
 STIEFEL_TOL = 1e-10  # largest |A^T A - I| entry of a matrix with orthonormal columns
-DUAL_FEAS_TOL = 1e-8  # phi_i + psi_j - C_ij of OT potentials, on costs of unit size
 WHITENED_TOL = 1e-10  # largest |mean| and |covariance - I| entry of a whitened measure
 
 

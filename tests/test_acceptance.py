@@ -52,7 +52,7 @@ def random_batch():
         mu = new_measure(rng.normal(size=(N, 2)), weights=rng.dirichlet(np.ones(N)))
         nu = new_measure(rng.normal(size=(M, 2)), weights=rng.dirichlet(np.ones(M)))
         ct = CostTensor(values, R)
-        dual = solve_dual(mu, nu, ct, method="lp")
+        dual = solve_dual(mu, nu, ct)
         bf = brute_force(mu, nu, ct)
         rp = solve_relaxed_primal(mu, nu, ct)
         batch.append((mu, nu, ct, dual, bf, rp))

@@ -41,6 +41,19 @@ def random_instance(rng, N=None, M=None, l=None, penalties=True):
     return mu, nu, CostTensor(values, R)
 
 
+def random_affine_instance(rng):
+    """Random weighted clouds in the plane and a random affine family with
+    random penalties, for `align`."""
+    N, M, l = (int(rng.integers(4, 10)) for _ in range(3))
+    mu = new_measure(rng.normal(size=(N, 2)), weights=rng.dirichlet(np.ones(N)))
+    nu = new_measure(rng.normal(size=(M, 2)), weights=rng.dirichlet(np.ones(M)))
+    entries = (
+        FamilyEntry(f"a{k}", rng.normal(size=(2, 2)), rng.normal(size=2), rng.uniform(0.0, 1.0))
+        for k in range(l)
+    )
+    return mu, nu, TransformFamily(tuple(entries))
+
+
 def identity_family(dim):
     return TransformFamily((FamilyEntry("id", np.eye(dim), np.zeros(dim)),))
 
@@ -65,7 +78,7 @@ def test_target_splitting_counterexample_is_solved_tightly():
     ct = CostTensor(values, np.zeros(2))
     bf = brute_force(mu, nu, ct)
     assert bf.value == pytest.approx(0.5)
-    dual = solve_dual(mu, nu, ct, method="lp")
+    dual = solve_dual(mu, nu, ct)
     assert dual.value == pytest.approx(0.5, abs=1e-9)
     rp = solve_relaxed_primal(mu, nu, ct)
     assert rp.value == pytest.approx(0.5, abs=1e-9)
@@ -107,12 +120,16 @@ def test_dual_agrees_with_brute_force_and_relaxed_primal():
         assert dual.mean_consistency_violation(mu.weights, nu.weights) <= 1e-8
 
 
-def test_certificate_method_matches_lp_method():
+def test_assembled_dual_matches_joint_lp():
+    # align's dual, assembled from per-entry OT potentials, against the joint
+    # LP on the dense tensor of the same penalized affine instance
     rng = np.random.default_rng(78)
+    spec = CostSpec.squared_euclidean()
     for _ in range(8):
-        mu, nu, ct = random_instance(rng)
-        d_lp = solve_dual(mu, nu, ct, method="lp")
-        d_cert = solve_dual(mu, nu, ct, method="certificate")
+        mu, nu, fam = random_affine_instance(rng)
+        ct = build_cost_tensor(mu, nu, fam, spec)
+        d_lp = solve_dual(mu, nu, ct)
+        d_cert = align(mu, nu, fam, spec).dual
         assert d_cert.value == pytest.approx(d_lp.value, abs=1e-7)
         assert d_cert.feasibility_violation(ct) <= 1e-8
         assert d_cert.mean_consistency_violation(mu.weights, nu.weights) <= 1e-8
@@ -163,11 +180,19 @@ def test_objective_shift_equivariance():
     d0 = solve_dual(mu, nu, ct)
     d1 = solve_dual(mu, nu, shifted)
     assert d1.value == pytest.approx(d0.value + s, abs=1e-8)
-    # the certificate construction yields shift-stable argmin sets
-    c0 = solve_dual(mu, nu, ct, method="certificate")
-    c1 = solve_dual(mu, nu, shifted, method="certificate")
+    # align's assembled dual yields shift-stable argmin sets; a common
+    # penalty shift moves every folded cost by s
+    mu, nu, fam = random_affine_instance(rng)
+    fam_s = TransformFamily(
+        tuple(FamilyEntry(e.label, e.matrix, e.offset, e.penalty + s) for e in fam)
+    )
+    spec = CostSpec.squared_euclidean()
+    ct, ct_s = build_cost_tensor(mu, nu, fam, spec), build_cost_tensor(mu, nu, fam_s, spec)
+    c0, c1 = align(mu, nu, fam, spec).dual, align(mu, nu, fam_s, spec).dual
+    assert c0.value == pytest.approx(solve_dual(mu, nu, ct).value, abs=1e-8)
+    assert c1.value == pytest.approx(solve_dual(mu, nu, ct_s).value, abs=1e-8)
     e0 = extract_theta(c0, ct, mu.weights)
-    e1 = extract_theta(c1, shifted, mu.weights)
+    e1 = extract_theta(c1, ct_s, mu.weights)
     assert e0.k_star == e1.k_star
 
 
@@ -335,7 +360,7 @@ def test_projected_1d_path_matches_tensor_path():
     ct = build_cost_tensor(mu, nu, fam, spec)
     rep = align(mu, nu, fam, spec)
     bf = brute_force(mu, nu, ct)
-    d_lp = solve_dual(mu, nu, ct, method="lp")
+    d_lp = solve_dual(mu, nu, ct)
     assert rep.value == pytest.approx(bf.value, abs=1e-9)
     assert rep.value == pytest.approx(d_lp.value, abs=1e-9)
     assert rep.theta_star == bf.k_star[0]

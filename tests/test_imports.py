@@ -56,7 +56,7 @@ def test_cli_and_align_leave_scipy_optimize_unloaded():
 
 def test_joint_dual_lp_solves_after_the_cli_import():
     code = ALIGN_AFTER_CLI_IMPORT + (
-        "dual = solve_dual(mu, nu, build_cost_tensor(mu, nu, fam, cost), method='lp')\n"
+        "dual = solve_dual(mu, nu, build_cost_tensor(mu, nu, fam, cost))\n"
         "print(abs(dual.value - report.value) <= 1e-9 * report.value)\n"
     )
     assert _run(code) == "True"

@@ -5,9 +5,32 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wassalign.lp import LpStatus, TransportLp, _Simplex, check_solution, solve_lp, staircase
+from wassalign import tolerance
+from wassalign.lp import LpStatus, TransportLp, _cell_sums, _Simplex, solve_lp, staircase
 from wassalign.measures import CostSpec, pairwise_cost, rotation_grid
 from wassalign.tolerance import MARGINAL_TOL
+
+
+def check_solution(prob: TransportLp, sol) -> dict:
+    """Residuals of an OPTIMAL solution: primal/dual feasibility and gap."""
+    if sol.status is not LpStatus.OPTIMAL:
+        raise ValueError("check_solution expects an optimal solution")
+    x, y = sol.primal, sol.dual_rows
+    X = x.reshape(prob.cost.shape)
+    b = prob.rhs()
+    slack = np.concatenate([X.sum(axis=1), X.sum(axis=0)]) - b
+    viol = max(float(np.abs(slack).max()), float(np.max(-x, initial=0.0)))
+    # a cell at zero needs a nonnegative reduced cost, a positive cell a zero one
+    z = prob.cost.ravel() - _cell_sums(y, prob.p.size)
+    at_zero = x <= tolerance.of(x)
+    var_viol = np.where(at_zero, -z, np.abs(z))
+    scale = 1.0 + float(np.abs(prob.cost).max())
+    return {
+        "primal_infeasibility": viol,
+        "dual_infeasibility": float(np.max(var_viol, initial=0.0)) / scale,
+        "complementary_slackness": float(np.max(np.abs(y * slack), initial=0.0)),
+        "duality_gap": abs(sol.objective - float(y @ b)),
+    }
 
 
 def _random_transport_lp(rng, N, M, uniform=False):

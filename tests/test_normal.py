@@ -61,6 +61,12 @@ def test_inv_cdf_round_trips():
         assert std_normal_cdf(std_normal_inv_cdf(float(u))) == pytest.approx(float(u), abs=1e-9)
 
 
+def test_inv_cdf_round_trips_in_the_deep_lower_tail():
+    for u in np.logspace(-300, -1, 300):
+        u = float(u)
+        assert std_normal_cdf(std_normal_inv_cdf(u)) == pytest.approx(u, rel=1e-11, abs=0.0)
+
+
 def test_mixture_brenier_degenerate_and_symmetry():
     for y in (-3.0, -0.5, 0.0, 1.2, 4.0):
         assert mixture_brenier(0.0, y) == pytest.approx(y, abs=1e-9)

@@ -147,7 +147,7 @@ def test_joint_lp_dual_has_a_witness_at_large_scale(route, seed):
     mu, nu, fam, cost, _ = _instance(route, seed, 1e5)
     ct = build_cost_tensor(mu, nu, fam, cost)
     with _Warnings() as warnings:
-        extraction = extract_theta(solve_dual(mu, nu, ct, method="lp"), ct, mu.weights)
+        extraction = extract_theta(solve_dual(mu, nu, ct), ct, mu.weights)
     assert extraction.witness_k is not None
     assert warnings == []
 

@@ -1,26 +1,28 @@
-"""Exact transport linear programs by a revised simplex method.
+"""Exact transport linear programs by the transportation simplex.
 
 `solve_lp` minimizes C.x over couplings x >= 0 of the weights (p, q): row i
 sums the cells of source i to p_i and row N + j those of target j to q_j.
 Column i*M + j is cell (i, j).  Once the totals balance the last target row
-is implied by the others, so the simplex keeps only the N + M - 1 rows
-before it, and a basis is N + M - 1 cells that form a spanning tree of the
-sources and targets.  The LP is infeasible exactly when the totals differ
-by more than REL * max|b|; then no simplex runs.  Otherwise the simplex
-starts from the north-west-corner `staircase` of (p, q) and uses Dantzig
-pricing, switching to Bland's rule for anti-cycling.  The basis inverse is
-kept dense and refreshed every REFACTOR_PERIOD pivots.  Every column holds
-ones only, so pricing and the entering column are sums of two entries, with
-no sparse matrix, and every entry of a tree basis's inverse is 0 or +-1.
+is implied by the others, so a basis is N + M - 1 cells that form a
+spanning tree of the sources and targets (Dantzig's u-v method).  The LP is
+infeasible exactly when the totals differ by more than REL * max|b|; then
+no simplex runs.  Otherwise the simplex starts from the north-west-corner
+`staircase` of (p, q).  Every pivot walks the tree from the last target:
+the walk gives the potentials (0 at the last target, y_i + y_(N+j) = C_ij
+on every tree cell), Dantzig pricing picks the entering cell, and its cycle
+is the tree path between its source and its target.  The leaving cell is
+the cycle cell of least flow among those that lose mass, and the flows
+change by exactly that flow, so none goes negative.  Bland's rule takes
+over after BLAND_AFTER * (N + M - 1 + N * M) pivots, against cycling.
 
 Warm start: every optimal solve returns its final basis (`LpSolution.basis`),
 and `solve_lp(..., start=basis)` begins from it in place of the staircase
-when it factors and is primal feasible.  A sequence of problems that share
-p and q and differ in the cost -- the per-entry transport LPs of an
-alignment -- thus starts each entry at the previous optimum.  Thresholds
-(`wassalign.tolerance`) are REL * max|c| on reduced costs and REL * max|b|
-on primal values, so the pivot rules do not depend on the units of C or of
-the weights.
+when its cells form a spanning tree with feasible flows.  A sequence of
+problems that share p and q and differ in the cost -- the per-entry
+transport LPs of an alignment -- thus starts each entry at the previous
+optimum.  Thresholds (`wassalign.tolerance`) are REL * max|c| on reduced
+costs and REL * max|b| on primal values, so the pivot rules do not depend
+on the units of C or of the weights.
 """
 
 from __future__ import annotations
@@ -41,14 +43,14 @@ __all__ = [
     "staircase",
 ]
 
-REFACTOR_PERIOD = 50
 MAX_ITERATIONS = 500_000
+BLAND_AFTER = 5  # Bland's rule after BLAND_AFTER * (N + M - 1 + N * M) pivots
 
 
 class LpStatus(enum.Enum):
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
-    FAILED = "failed"  # numerical breakdown, distinct from infeasible
+    FAILED = "failed"  # the iteration limit, distinct from infeasible
 
 
 class LpSolverError(RuntimeError):
@@ -92,21 +94,16 @@ class TransportLp:
 
 @dataclass
 class LpSolution:
-    """Solver output; primal/dual vectors are None unless status is OPTIMAL."""
+    """Solver output; the arrays are None unless status is OPTIMAL."""
 
     status: LpStatus
-    primal: np.ndarray | None = None  # cell values, flat in cell order
+    flow: np.ndarray | None = None  # the mass of each basis cell; other cells are empty
     dual_rows: np.ndarray | None = None  # one multiplier per row, 0 on the last
     objective: float | None = None
     iterations: int = 0
     message: str = ""
     # optimal basis as N + M - 1 cell indices, for solve_lp(start=...)
     basis: np.ndarray | None = None
-
-
-def _cell_sums(v: np.ndarray, N: int) -> np.ndarray:
-    """v_i + v_(N+j) for every cell (i, j): the product of v with every cell column."""
-    return (v[:N, None] + v[None, N:]).ravel()
 
 
 def staircase(p, q):
@@ -139,146 +136,115 @@ def staircase(p, q):
 
 
 # ---------------------------------------------------------------------------
-# revised simplex
+# the simplex on a spanning tree
 # ---------------------------------------------------------------------------
 
 
-def _dantzig_order(d, neg):
-    """Entering candidates, most negative reduced cost first.
-
-    The full sort is deferred: nearly always the first candidate admits a
-    pivot, and the rest are only needed to sidestep a numerical breakdown.
-    """
-    j0 = int(neg[np.argmin(d[neg])])
-    yield j0
-    rest = neg[neg != j0]
-    for j in rest[np.argsort(d[rest], kind="stable")]:
-        yield int(j)
-
-
 class _Simplex:
-    """The simplex on the rows of the sources and of every target but the last."""
+    """The transport simplex on a basis held as a spanning tree: nodes 0..N-1
+    are the sources, N..N+M-1 the targets, and basis cell (i, j) at position
+    r is the edge between i and N + j with mass flow[r]."""
 
     def __init__(self, prob: TransportLp):
         N, M = prob.cost.shape
         self.N, self.M = N, M
-        self.n_cells = N * M
-        self.m = N + M - 1
-        self.b = prob.rhs()[:-1]
+        self.b = prob.rhs()
         self.c = prob.cost.ravel()
-        # basis, Binv and x_B are set by start_from or from the staircase
-        self.in_basis = np.zeros(self.n_cells, dtype=bool)
+        # basis and flow are set by start_from or from the staircase
         self.iterations = 0
-        self.pivots_since_refactor = 0
         # primal values: feasibility and the balance of the totals
         self.feas_tol = tolerance.of(prob.p, prob.q)
 
-    def duals(self) -> np.ndarray:
-        """Row multipliers c_B B^-1, with 0 on the dropped last row."""
-        return np.append(self.c[self.basis] @ self.Binv, 0.0)
+    def _walk(self, basis):
+        """Breadth-first walk of the basis cells from the last target.
 
-    def _column_image(self, j: int) -> np.ndarray:
-        """Binv a_j."""
-        i, t = divmod(j, self.M)
-        if t == self.M - 1:
-            return self.Binv[:, i].copy()
-        return self.Binv[:, i] + self.Binv[:, self.N + t]
-
-    def _basis_matrix(self, basis: np.ndarray) -> np.ndarray:
-        B = np.zeros((self.m + 1, self.m))
-        pos = np.arange(self.m)
-        B[basis // self.M, pos] = 1.0
-        B[self.N + basis % self.M, pos] = 1.0
-        return B[:-1]
-
-    def refactor(self) -> None:
-        """Recompute the basis inverse; a singular basis keeps the updated one."""
-        try:
-            self.Binv = np.linalg.inv(self._basis_matrix(self.basis))
-        except np.linalg.LinAlgError:
-            return
-        self.x_B = self.Binv @ self.b
-        np.maximum(self.x_B, 0.0, out=self.x_B)
-        self.pivots_since_refactor = 0
+        Returns every node's parent, the basis position of the cell to its
+        parent, its depth, and the visit order; None when the cells leave a
+        node unreached, which for N + M - 1 cells means they are no tree.
+        """
+        n = self.N + self.M
+        adj = [[] for _ in range(n)]
+        rows, cols = np.divmod(basis, self.M)
+        for r, (i, j) in enumerate(zip(rows.tolist(), (cols + self.N).tolist())):
+            adj[i].append((j, r))
+            adj[j].append((i, r))
+        parent, up, depth = [-1] * n, [-1] * n, [0] * n
+        parent[-1] = n - 1
+        order = [n - 1]
+        for v in order:
+            for w, r in adj[v]:
+                if parent[w] < 0:
+                    parent[w], up[w], depth[w] = v, r, depth[v] + 1
+                    order.append(w)
+        return (parent, up, depth, order) if len(order) == n else None
 
     def start_from(self, basis) -> bool:
-        """Adopt a start basis if it factors and is primal feasible within the
-        feasibility threshold; otherwise change nothing."""
+        """Adopt a start basis if its cells form a spanning tree whose flows,
+        taken by leaf elimination, are all at least -feas_tol; otherwise
+        change nothing."""
         basis = np.asarray(basis)
-        if basis.shape != (self.m,) or not np.issubdtype(basis.dtype, np.integer):
+        if basis.shape != (self.N + self.M - 1,) or not np.issubdtype(basis.dtype, np.integer):
             return False
-        if basis.min() < 0 or basis.max() >= self.n_cells:
+        if basis.min() < 0 or basis.max() >= self.c.size:
             return False
-        B = self._basis_matrix(basis)
-        try:
-            Binv = np.linalg.inv(B)
-        except np.linalg.LinAlgError:
+        tree = self._walk(basis)
+        if tree is None:
             return False
-        residual = np.abs(B @ Binv - np.eye(self.m)).max()
-        if not np.all(np.isfinite(Binv)) or residual > tolerance.FACTOR_TOL:
-            return False
-        x_B = Binv @ self.b
-        if x_B.min() < -self.feas_tol:
+        parent, up, _, order = tree
+        rest, flow = self.b.tolist(), [0.0] * basis.size
+        # leaves first: the cell to a node's parent carries what its subtree lacks
+        for v in reversed(order[1:]):
+            flow[up[v]] = rest[v]
+            rest[parent[v]] -= rest[v]
+        if min(flow) < -self.feas_tol:
             return False
         self.basis = basis.astype(np.int64)
-        self.in_basis[:] = False
-        self.in_basis[self.basis] = True
-        self.Binv = Binv
-        self.x_B = np.maximum(x_B, 0.0)
+        self.flow = np.maximum(flow, 0.0)
         return True
 
-    def _pivot(self, j: int, r: int, a_hat: np.ndarray) -> None:
-        theta = self.x_B[r] / a_hat[r]
-        self.x_B -= theta * a_hat
-        self.x_B[r] = theta
-        np.maximum(self.x_B, 0.0, out=self.x_B)
-        pivrow = self.Binv[r] / a_hat[r]
-        self.Binv -= np.outer(a_hat, pivrow)
-        self.Binv[r] = pivrow
-        self.in_basis[self.basis[r]] = False
-        self.in_basis[j] = True
-        self.basis[r] = j
-        self.pivots_since_refactor += 1
-        if self.pivots_since_refactor >= REFACTOR_PERIOD:
-            self.refactor()
-
-    def run(self, bland_after: int):
-        """Minimize the cost from the current basis; returns a status string."""
+    def run(self, bland_after: int) -> str:
+        """Pivot to an optimal tree; returns a status string."""
+        N, M = self.N, self.M
         dtol = tolerance.of(self.c)
         while True:
+            parent, up, depth, order = self._walk(self.basis)
+            # potentials: 0 at the last target, y_i + y_(N+j) = C_ij on every tree cell
+            c_B, y = self.c[self.basis].tolist(), [0.0] * (N + M)
+            for v in order[1:]:
+                y[v] = c_B[up[v]] - y[parent[v]]
+            self.y = np.array(y)
             if self.iterations > MAX_ITERATIONS:
                 return "failed: iteration limit"
-            d = self.c - _cell_sums(self.duals(), self.N)
-            d[self.in_basis] = np.inf
+            d = self.c - (self.y[:N, None] + self.y[None, N:]).ravel()
+            d[self.basis] = np.inf
             neg = np.flatnonzero(d < -dtol)
             if neg.size == 0:
                 return "optimal"
-            use_bland = self.iterations >= bland_after
-            if use_bland:
-                order = neg  # ascending column index: Bland's rule
-            else:
-                order = _dantzig_order(d, neg)  # most negative first, lazily sorted
-            for j in order:
-                j = int(j)
-                a_hat = self._column_image(j)
-                pos = a_hat > tolerance.PIVOT_TOL
-                if not pos.any():
-                    continue  # a ray, or only rounding noise: try another column
-                ratios = np.full(self.m, np.inf)
-                ratios[pos] = self.x_B[pos] / a_hat[pos]
-                # the exact minimum: a longer step would drive another basic
-                # value negative (a tree basis's a_hat holds only 0 and +-1)
-                cand = np.flatnonzero(ratios <= ratios.min())
-                if use_bland:
-                    r = int(cand[np.argmin(self.basis[cand])])
+            # Bland: the lowest index; Dantzig: the most negative reduced cost
+            bland = self.iterations >= bland_after
+            e = int(neg[0]) if bland else int(np.argmin(d))
+            # the cycle: cell e, then the tree path from its target back to its
+            # source, whose cells lose and gain mass in turn (a cell loses when
+            # the path crosses it from a target to a source)
+            u, v = N + e % M, e // M
+            losing, gaining = [], []
+            while u != v:
+                if depth[u] >= depth[v]:
+                    (losing if u >= N else gaining).append(up[u])
+                    u = parent[u]
                 else:
-                    r = int(cand[np.argmax(a_hat[cand])])
-                self._pivot(j, r, a_hat)
-                self.iterations += 1
-                break
-            else:
-                # the transport polytope is bounded: a ray is a numerical breakdown
-                return "failed: no admissible pivot"
+                    (losing if v < N else gaining).append(up[v])
+                    v = parent[v]
+            losing = np.array(losing)
+            lost = self.flow[losing]
+            theta = lost.min()
+            tied = losing[lost == theta]
+            r = int(tied[np.argmin(self.basis[tied])] if bland else tied.min())
+            self.flow[losing] -= theta  # exactly theta: no flow goes negative
+            self.flow[gaining] += theta
+            self.flow[r] = theta
+            self.basis[r] = e
+            self.iterations += 1
 
 
 def solve_lp(prob: TransportLp, start=None) -> LpSolution:
@@ -287,30 +253,25 @@ def solve_lp(prob: TransportLp, start=None) -> LpSolution:
     INFEASIBLE when the totals of p and q differ by more than REL * max|b|.
     start: the `basis` of an earlier optimal solution, typically of a
     problem with the same p and q and another cost; the simplex starts from
-    it when it factors and is primal feasible, and from the north-west-corner
-    staircase of (p, q) otherwise.  Solutions are deterministic for a fixed
-    input and start.
+    it when its cells form a spanning tree with feasible flows, and from the
+    north-west-corner staircase of (p, q) otherwise.  Solutions are
+    deterministic for a fixed input and start.
     """
     sx = _Simplex(prob)
     if abs(prob.p.sum() - prob.q.sum()) > sx.feas_tol:
         return LpSolution(LpStatus.INFEASIBLE, message="the totals of p and q differ")
     if start is None or not sx.start_from(start):
-        ii, jj, _ = staircase(prob.p, prob.q)
-        sx.basis = ii * sx.M + jj
-        sx.in_basis[sx.basis] = True
-        sx.refactor()
+        ii, jj, mass = staircase(prob.p, prob.q)
+        sx.basis, sx.flow = ii * sx.M + jj, mass
 
-    status = sx.run(bland_after=5 * (sx.m + sx.n_cells))
+    status = sx.run(bland_after=BLAND_AFTER * (sx.N + sx.M - 1 + sx.c.size))
     if status.startswith("failed"):
         return LpSolution(LpStatus.FAILED, iterations=sx.iterations, message=status)
-
-    primal = np.zeros(sx.n_cells)
-    primal[sx.basis] = sx.x_B
     return LpSolution(
         LpStatus.OPTIMAL,
-        primal=primal,
-        dual_rows=sx.duals(),
-        objective=float(prob.cost.ravel() @ primal),
+        flow=sx.flow,
+        dual_rows=sx.y,
+        objective=float(sx.c[sx.basis] @ sx.flow),
         iterations=sx.iterations,
-        basis=sx.basis.copy(),
+        basis=sx.basis,
     )

@@ -1,6 +1,6 @@
 """Exact discrete optimal transport: values, vertex plans, Kantorovich potentials.
 
-The transport LP is solved by the revised simplex in `wassalign.lp`, which
+The transport LP is solved by the tree simplex in `wassalign.lp`, which
 starts from the north-west-corner staircase of the weights, or from the
 optimal basis of an earlier LP with the same weights; returned potentials
 are the LP row duals with the source side canonicalized through the
@@ -151,9 +151,9 @@ def wasserstein(p, q, C, start=None) -> OtResult:
     """Exact OT between weight vectors p, q under the cost matrix C.
 
     Returns the minimal cost, an optimal vertex plan on the cells of the
-    optimal simplex basis, and Kantorovich potentials from the LP row duals.  The source potential is recomputed as
-    cbar_transform(psi), which keeps the dual objective and yields the
-    canonical cbar-concave representative.
+    optimal simplex basis, and Kantorovich potentials from the LP row duals.
+    The source potential is recomputed as cbar_transform(psi), which keeps
+    the dual objective and yields the canonical cbar-concave representative.
 
     start: the `basis` of an earlier result with the same p and q, from
     which the simplex starts instead of the north-west-corner staircase
@@ -172,7 +172,7 @@ def wasserstein(p, q, C, start=None) -> OtResult:
     if sol.status is not LpStatus.OPTIMAL:
         raise LpSolverError(f"transport LP ended with status {sol.status.value}: {sol.message}")
     rows, cols = np.divmod(sol.basis, prob.q.size)
-    plan = TransportPlan(rows, cols, sol.primal[sol.basis], prob.cost.shape)
+    plan = TransportPlan(rows, cols, sol.flow, prob.cost.shape)
     psi = sol.dual_rows[prob.p.size :]
     phi = cbar_transform(psi, prob.cost)
     return OtResult(float(sol.objective), plan, PotentialPair(phi, psi), basis=sol.basis)

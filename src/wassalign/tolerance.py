@@ -3,12 +3,13 @@
 A threshold on values -- costs, objectives, reduced costs, right-hand sides,
 potentials -- is REL times the size of the data it compares (`of`), so
 answers do not depend on units; a covariance is judged degenerate by the
-ratio of its eigenvalues, for the same reason.  Masses, basis-matrix
-entries, orthonormal-column residuals and the moments of a whitened measure
-are unit-free (weights sum to 1; the transport simplex's constraint matrix
-holds only 0 and 1, so the inverse of its tree bases holds only 0 and +-1;
-a whitened covariance is I), so their thresholds are absolute.  The two cross-check LPs of `alignment` pass no thresholds to
-HiGHS; they scale their costs instead.
+ratio of its eigenvalues, for the same reason.  Masses, orthonormal-column
+residuals and the moments of a whitened measure are unit-free (weights sum
+to 1; a whitened covariance is I), so their thresholds are absolute.  The
+transport simplex has no pivot threshold: its basis is a spanning tree, and
+a pivot moves the flows of its cycle by exactly the leaving cell's flow.
+The two cross-check LPs of `alignment` pass no thresholds to HiGHS; they
+scale their costs instead.
 """
 
 import numpy as np
@@ -19,8 +20,6 @@ MARGINAL_TOL = 1e-8  # masses: plan row and column sums against the weights
 WEIGHT_SUM_TOL = 1e-9  # masses: a weight vector's sum against 1 (then renormalized)
 MEASURE_SUM_TOL = 1e-12  # masses: a stored measure's weight sum against 1
 PLAN_ZERO = 1e-12  # masses: plan entries at or below this are empty cells
-PIVOT_TOL = 1e-11  # basis-matrix entries: smallest admissible pivot
-FACTOR_TOL = 1e-8  # basis-matrix entries: largest |B inv(B) - I| of a start basis
 COV_EIG_RATIO = 1e-12  # smallest over largest covariance eigenvalue of a degenerate support
 STIEFEL_TOL = 1e-10  # largest |A^T A - I| entry of a matrix with orthonormal columns
 WHITENED_TOL = 1e-10  # largest |mean| and |covariance - I| entry of a whitened measure

@@ -7,7 +7,9 @@ import sys
 import pytest
 
 
-@pytest.mark.parametrize("module", ["wassalign.cli", "wassalign.normal"])
+@pytest.mark.parametrize(
+    "module", ["wassalign.cli", "wassalign.normal", "wassalign.ot", "wassalign.alignment"]
+)
 def test_module_imports_only_public_names(module):
     # private helpers stay inside their module: a caller that needs one
     # would fork the pipeline instead of calling the public entry point

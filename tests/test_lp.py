@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wassalign import tolerance
-from wassalign.lp import LpStatus, TransportLp, _cell_sums, _Simplex, solve_lp, staircase
+from wassalign import lp, tolerance
+from wassalign.lp import LpStatus, TransportLp, solve_lp, staircase
 from wassalign.measures import CostSpec, pairwise_cost, rotation_grid
 from wassalign.tolerance import MARGINAL_TOL
 
@@ -15,13 +15,15 @@ def check_solution(prob: TransportLp, sol) -> dict:
     """Residuals of an OPTIMAL solution: primal/dual feasibility and gap."""
     if sol.status is not LpStatus.OPTIMAL:
         raise ValueError("check_solution expects an optimal solution")
-    x, y = sol.primal, sol.dual_rows
-    X = x.reshape(prob.cost.shape)
+    N, M = prob.cost.shape
+    x, y = np.zeros(N * M), sol.dual_rows
+    np.add.at(x, sol.basis, sol.flow)
+    X = x.reshape(N, M)
     b = prob.rhs()
     slack = np.concatenate([X.sum(axis=1), X.sum(axis=0)]) - b
     viol = max(float(np.abs(slack).max()), float(np.max(-x, initial=0.0)))
     # a cell at zero needs a nonnegative reduced cost, a positive cell a zero one
-    z = prob.cost.ravel() - _cell_sums(y, prob.p.size)
+    z = prob.cost.ravel() - (y[:N, None] + y[None, N:]).ravel()
     at_zero = x <= tolerance.of(x)
     var_viol = np.where(at_zero, -z, np.abs(z))
     scale = 1.0 + float(np.abs(prob.cost).max())
@@ -84,12 +86,32 @@ def test_redundant_equality_rows():
         assert sol.objective == pytest.approx(_enumerate_vertices(prob), abs=1e-9)
 
 
+def _tiny_lps(uniform):
+    rng = np.random.default_rng(43 if uniform else 42)
+    return [
+        _random_transport_lp(rng, int(rng.integers(2, 4)), int(rng.integers(2, 4)), uniform)
+        for _ in range(12)
+    ]
+
+
+def _small_lps():
+    rng = np.random.default_rng(5)
+    probs = []
+    for _ in range(20):
+        N, M = (int(n) for n in rng.integers(1, 8, size=2))
+        prob = _random_transport_lp(rng, N, M)
+        if rng.random() < 0.3:  # zero-weight atoms: degenerate rows
+            p = prob.p.copy()
+            p[0] = 0.0
+            prob = TransportLp(prob.cost, p / p.sum(), prob.q)
+        probs.append(prob)
+    return probs
+
+
 @pytest.mark.parametrize("uniform", [False, True])
 def test_random_lp_matches_vertex_enumeration(uniform):
     # uniform weights make many vertices degenerate
-    rng = np.random.default_rng(43 if uniform else 42)
-    for _ in range(12):
-        prob = _random_transport_lp(rng, int(rng.integers(2, 4)), int(rng.integers(2, 4)), uniform)
+    for prob in _tiny_lps(uniform):
         sol = solve_lp(prob)
         assert sol.status is LpStatus.OPTIMAL
         assert sol.objective == pytest.approx(_enumerate_vertices(prob), abs=1e-9)
@@ -107,8 +129,7 @@ def test_ratio_test_leaves_no_basic_value_negative():
     prob = TransportLp(pairwise_cost(x, z, CostSpec.squared_euclidean()), p / p.sum(), q / q.sum())
     sol = solve_lp(prob)
     assert sol.status is LpStatus.OPTIMAL
-    sx = _Simplex(prob)
-    assert np.linalg.solve(sx._basis_matrix(sol.basis), sx.b).min() >= -1e-15
+    assert sol.flow.min() >= 0.0
     assert check_solution(prob, sol)["primal_infeasibility"] <= 1e-15
 
 
@@ -124,14 +145,7 @@ def test_transport_lp_validates_its_data():
 
 
 def test_strong_duality_and_complementary_slackness():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        N, M = (int(n) for n in rng.integers(1, 8, size=2))
-        prob = _random_transport_lp(rng, N, M)
-        if rng.random() < 0.3:  # zero-weight atoms: degenerate rows
-            p = prob.p.copy()
-            p[0] = 0.0
-            prob = TransportLp(prob.cost, p / p.sum(), prob.q)
+    for prob in _small_lps():
         sol = solve_lp(prob)
         assert sol.status is LpStatus.OPTIMAL
         res = check_solution(prob, sol)
@@ -148,7 +162,8 @@ def test_objective_scaling_leaves_primal_unchanged():
         p2 = TransportLp(2.0 * p1.cost, p1.p, p1.q)
         s1, s2 = solve_lp(p1), solve_lp(p2)
         assert s1.status is LpStatus.OPTIMAL and s2.status is LpStatus.OPTIMAL
-        np.testing.assert_array_equal(s1.primal, s2.primal)
+        np.testing.assert_array_equal(s1.basis, s2.basis)
+        np.testing.assert_array_equal(s1.flow, s2.flow)
         assert s2.objective == pytest.approx(2.0 * s1.objective, rel=1e-12)
 
 
@@ -162,7 +177,8 @@ def test_rhs_scaling_scales_the_primal(s):
         p2 = TransportLp(p1.cost, s * p1.p, s * p1.q)
         s1, s2 = solve_lp(p1), solve_lp(p2)
         assert s2.status is s1.status is LpStatus.OPTIMAL
-        np.testing.assert_allclose(s2.primal / s, s1.primal, rtol=1e-9, atol=1e-12)
+        np.testing.assert_array_equal(s2.basis, s1.basis)
+        np.testing.assert_allclose(s2.flow / s, s1.flow, rtol=1e-9, atol=1e-12)
         assert s2.objective / s == pytest.approx(s1.objective, rel=1e-9)
     # a total of s out of the sources and 2 s into the targets: infeasible at every scale
     prob = TransportLp(np.ones((2, 2)), [0.5 * s, 0.5 * s], [s, s])
@@ -172,7 +188,7 @@ def test_rhs_scaling_scales_the_primal(s):
 def test_deterministic_resolve():
     prob = _random_transport_lp(np.random.default_rng(17), 6, 5)
     s1, s2 = solve_lp(prob), solve_lp(prob)
-    np.testing.assert_array_equal(s1.primal, s2.primal)
+    np.testing.assert_array_equal(s1.flow, s2.flow)
     np.testing.assert_array_equal(s1.basis, s2.basis)
     assert s1.iterations == s2.iterations
 
@@ -181,6 +197,8 @@ def test_deterministic_resolve():
 
 
 def _weights(rng, n, kind):
+    if kind == "uniform":
+        return np.full(n, 1.0 / n)
     if kind == "dyadic":  # multiples of 1/64: the partial sums of p and q tie exactly
         w = rng.multinomial(64, np.ones(n) / n) / 64.0
     else:
@@ -274,6 +292,38 @@ def test_staircase_matches_the_sequential_walk_on_exact_partial_sums(seed, N, M)
         np.testing.assert_array_equal(got, want)
 
 
+@settings(max_examples=120, deadline=None, database=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    N=st.integers(1, 30),
+    M=st.integers(1, 30),
+    kind=st.sampled_from(["uniform", "dirichlet", "zeros"]),
+    log_scale=st.floats(-4.0, 5.0),
+)
+@example(seed=0, N=30, M=30, kind="uniform", log_scale=-4.0)
+@example(seed=0, N=1, M=30, kind="zeros", log_scale=5.0)
+def test_value_matches_highs(seed, N, M, kind, log_scale):
+    from scipy.optimize import linprog
+
+    rng = np.random.default_rng(seed)
+    C = 10.0**log_scale * rng.uniform(size=(N, M))
+    prob = TransportLp(C, _weights(rng, N, kind), _weights(rng, M, kind))
+    sol = solve_lp(prob)
+    assert sol.status is LpStatus.OPTIMAL
+    # HiGHS's tolerances are absolute: pose it on unit-size costs, scale its value back
+    size = np.abs(prob.cost).max()
+    ref = linprog(
+        (prob.cost / size).ravel(), A_eq=_constraint_matrix(N, M), b_eq=prob.rhs(), method="highs-ds"
+    )
+    assert ref.status == 0
+    assert abs(sol.objective - ref.fun * size) <= 1e-9 * ref.fun * size
+    ii, jj = np.divmod(sol.basis, M)
+    assert _is_spanning_tree(ii, jj, N, M)
+    assert sol.flow.min() >= 0.0
+    assert np.abs(np.bincount(ii, sol.flow, N) - prob.p).max() <= 1e-12
+    assert np.abs(np.bincount(jj, sol.flow, M) - prob.q).max() <= 1e-12
+
+
 # -- warm start ------------------------------------------------------------
 
 
@@ -302,7 +352,8 @@ def test_warm_start_matches_cold_over_a_rotation_grid():
         assert res["primal_infeasibility"] <= 1e-8
         assert res["dual_infeasibility"] <= 1e-7
         assert res["duality_gap"] <= 1e-7 * (1.0 + abs(warm.objective))
-        assert np.count_nonzero(warm.primal > 1e-12) <= N + M - 1
+        assert _is_spanning_tree(*np.divmod(warm.basis, M), N, M)
+        assert warm.flow.min() >= 0.0
         warm_its.append(warm.iterations)
         cold_its.append(cold.iterations)
         start = warm.basis
@@ -326,7 +377,8 @@ def test_start_infeasible_for_new_rhs_falls_back_to_the_staircase():
     # the solve starts from the staircase, as the cold one does
     assert warm.status is LpStatus.OPTIMAL
     assert warm.iterations == cold.iterations
-    np.testing.assert_array_equal(warm.primal, cold.primal)
+    np.testing.assert_array_equal(warm.basis, cold.basis)
+    np.testing.assert_array_equal(warm.flow, cold.flow)
     assert warm.objective == cold.objective
 
 
@@ -346,7 +398,8 @@ def test_unusable_start_falls_back_to_the_staircase(kind):
     cold, warm = solve_lp(prob), solve_lp(prob, start=start)
     assert warm.status is LpStatus.OPTIMAL
     assert warm.iterations == cold.iterations
-    np.testing.assert_array_equal(warm.primal, cold.primal)
+    np.testing.assert_array_equal(warm.basis, cold.basis)
+    np.testing.assert_array_equal(warm.flow, cold.flow)
 
 
 def test_start_with_a_basic_artificial_at_zero_stays_feasible():
@@ -356,7 +409,6 @@ def test_start_with_a_basic_artificial_at_zero_stays_feasible():
     # refused and the solve is the cold one
     prob = TransportLp(np.array([[0.0, 2.0], [2.0, 1.0]]), [0.5, 0.5], [0.5, 0.5])
     start = np.array([1, 2, 4])
-    assert not _Simplex(prob).start_from(start)
     cold, warm = solve_lp(prob), solve_lp(prob, start=start)
     assert warm.status is LpStatus.OPTIMAL
     assert cold.objective == 0.5
@@ -374,6 +426,35 @@ def test_warm_resolve_is_deterministic():
     start = solve_lp(TransportLp(costs[0], p, q)).basis
     s1 = solve_lp(TransportLp(costs[1], p, q), start=start)
     s2 = solve_lp(TransportLp(costs[1], p, q), start=start)
-    np.testing.assert_array_equal(s1.primal, s2.primal)
+    np.testing.assert_array_equal(s1.flow, s2.flow)
     np.testing.assert_array_equal(s1.basis, s2.basis)
     assert s1.iterations == s2.iterations
+
+
+def test_blands_rule_alone_reaches_the_dantzig_optimum(monkeypatch):
+    # Bland's rule takes over only after BLAND_AFTER * (N + M - 1 + N * M)
+    # pivots; at 0 it makes every pivot, on the random corpora and on a warm
+    # rotation sequence
+    probs = _tiny_lps(False) + _tiny_lps(True) + _small_lps()
+    rng = np.random.default_rng(37)
+    costs = _rotation_costs(rng)
+    p, q = rng.dirichlet(np.ones(8)), rng.dirichlet(np.ones(6))
+    warm = [TransportLp(C, p, q) for C in costs]
+
+    def solve_all():
+        sols = [solve_lp(prob) for prob in probs]
+        start = None
+        for prob in warm:
+            sols.append(solve_lp(prob, start=start))
+            start = sols[-1].basis
+        return sols
+
+    dantzig = solve_all()
+    monkeypatch.setattr(lp, "BLAND_AFTER", 0)
+    bland = solve_all()
+    for prob, d, b in zip(probs + warm, dantzig, bland):
+        assert b.status is LpStatus.OPTIMAL
+        assert abs(b.objective - d.objective) <= 1e-12 * abs(d.objective)
+        N, M = prob.cost.shape
+        assert _is_spanning_tree(*np.divmod(b.basis, M), N, M)
+        assert b.flow.min() >= 0.0

@@ -26,6 +26,8 @@ from wassalign.ot import (
 )
 from wassalign.tolerance import MARGINAL_TOL
 
+from test_lp import _is_spanning_tree
+
 
 def test_trivial_singleton():
     res = wasserstein([1.0], [1.0], [[0.0]])
@@ -107,6 +109,8 @@ def test_warm_started_sequence_matches_cold_solves():
         warm = wasserstein(p, q, C, start=start)
         assert warm.value == pytest.approx(cold.value, rel=1e-12)
         assert warm.plan.nnz <= N + M - 1  # a vertex: at most a spanning tree
+        assert _is_spanning_tree(warm.plan.rows, warm.plan.cols, N, M)
+        assert warm.plan.mass.min() >= 0.0
         warm.plan.check_marginals(p, q, tol=MARGINAL_TOL)
         assert warm.potentials.feasibility_violation(C) <= 1e-8
         assert warm.potentials.objective(p, q) == pytest.approx(warm.value, abs=1e-9)

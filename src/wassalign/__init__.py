@@ -40,7 +40,7 @@ from wassalign.alignment import (
     compute_J_psi,
     extract_theta,
     gap_certificate,
-    gap_certificates,
+    identity_residuals,
     solve_dual,
     solve_relaxed_primal,
 )

@@ -74,13 +74,9 @@ __all__ = [
     "solve_relaxed_primal",
     "compute_J_psi",
     "gap_certificate",
-    "gap_certificates",
+    "identity_residuals",
     "align",
 ]
-
-# cost-matrix rows formed at once when align transforms potentials on the
-# transport-LP route, so that a transform holds ROW_BLOCK x M costs at a time
-ROW_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -430,58 +426,49 @@ def compute_J_psi(psi: np.ndarray, ct: CostTensor, p: np.ndarray) -> np.ndarray:
 
 
 def gap_certificate(
-    k0: int,
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    ct: CostTensor,
-    dual_value: float,
-    solved: tuple | None = None,
-    *,
-    folded: np.ndarray | None = None,
+    k0: int, mu: DiscreteMeasure, nu: DiscreteMeasure, ct: CostTensor, dual_value: float
 ) -> GapCertificate:
     """Primal/dual optimality gaps at family entry k0 and their exact link.
 
     delta = per-entry objective at k0 minus the alignment value; g is the
     suboptimality of the single-potential dual lift built from the k0 OT
     solve; the identity delta + g = I(k0) - min_k I holds up to solver
-    tolerance, and both gaps are nonnegative.  solved is entry k0's (OT
-    value, psi), solved here when None; folded is ct.folded(), for a
-    caller that certifies several entries and folds once.
+    tolerance, and both gaps are nonnegative.
     """
     N, M, l = ct.shape
     if not 0 <= k0 < l:
         raise ValueError(f"k0={k0} out of range for l={l}")
-    if solved is None:
-        res = wasserstein(mu.weights, nu.weights, ct.slice(k0))
-        solved = res.value, res.potentials.psi
-    ot_value, psi = solved
-    if folded is None:
-        folded = ct.folded()
-    pot = _canonical_potentials(psi, _dense_transforms(ct.slice(k0)))
-    psibar = _psibar_folded(pot.psi, folded)
+    res = wasserstein(mu.weights, nu.weights, ct.slice(k0))
+    pot = _canonical_potentials(res.potentials.psi, _dense_transforms(ct.slice(k0)))
+    psibar = _psibar_folded(pot.psi, ct.folded())
     i_curve = mu.weights @ psibar
     i_min = float(i_curve.min())
-    delta = float(ot_value + ct.penalties[k0] - dual_value)
+    delta = float(res.value + ct.penalties[k0] - dual_value)
     g = float(dual_value - (i_min + pot.psi @ nu.weights))
     rhs = float(i_curve[k0] - i_min)
     return GapCertificate(delta, g, rhs)
 
 
-def gap_certificates(
-    report: AlignmentReport, mu: DiscreteMeasure, nu: DiscreteMeasure, ct: CostTensor
-) -> list:
-    """gap_certificate at every family entry, from the report's own solves.
+def identity_residuals(
+    report: AlignmentReport, mu: DiscreteMeasure, nu: DiscreteMeasure, fam, cost: CostSpec
+) -> np.ndarray:
+    """gap_certificate's identity residual at every family entry, from the
+    report's own solves and without a cost tensor.
 
-    Column k of report.dual is a Kantorovich pair of entry k shifted by a
-    constant, which leaves every certificate unchanged, so no entry is
-    solved again, and the cost tensor is folded once for all entries.
+    In delta + g - rhs the alignment value and min_k I cancel, which leaves
+    per_theta[k] - R_k - (p.psi^cbar + q.(psi^cbar)^c): the duality gap of
+    entry k's canonical pair, with psi column k of report.dual.  That column
+    is a Kantorovich pair of entry k shifted by a constant t_k, which moves
+    psi^cbar by -t_k and (psi^cbar)^c by +t_k, and cancels since p and q
+    each sum to 1.  Each entry takes the two transforms `align` uses.
     """
-    folded = ct.folded()
-    certs = []
-    for k in range(ct.shape[2]):
-        solved = report.per_theta[k] - ct.penalties[k], report.dual.psi[:, k]
-        certs.append(gap_certificate(k, mu, nu, ct, report.value, solved, folded=folded))
-    return certs
+    _, transforms = _entry_solver(mu, nu, cost)
+    out = np.empty(len(fam))
+    for k, entry in enumerate(fam):
+        pot = _canonical_potentials(report.dual.psi[:, k], transforms(entry.apply(mu.points)))
+        dual_objective = float(mu.weights @ pot.phi + nu.weights @ pot.psi)
+        out[k] = abs(report.per_theta[k] - entry.penalty - dual_objective)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -496,8 +483,8 @@ def _entry_solver(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
     largest magnitude.  A target on the line under a power of the distance
     takes the quantile solver, and its transforms are monotone row minima on
     the line; neither forms a cost matrix.  Any other instance poses the
-    transport LP on a cost matrix formed once per solve, and its transforms
-    run over ROW_BLOCK rows of the cost matrix at a time.
+    transport LP on a cost matrix formed once per solve, and transforms(y)
+    forms one cost matrix that its cbar and c transforms share.
     """
     p, q = mu.weights, nu.weights
     if nu.dim == 1 and cost.kind in ("sq-euclidean", "power"):
@@ -530,19 +517,10 @@ def _entry_solver(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
         start = res.basis
         return res, float(np.abs(C).max())
 
-    def row_transforms(y):
-        blocks = [(a, y[a : a + ROW_BLOCK]) for a in range(0, y.shape[0], ROW_BLOCK)]
+    def dense_transforms(y):
+        return _dense_transforms(cost_of(y))
 
-        def cbar(psi):
-            return np.concatenate([cbar_transform(psi, cost_of(b)) for _, b in blocks])
-
-        def c(phi):
-            mins = [c_transform(phi[a : a + len(b)], cost_of(b)) for a, b in blocks]
-            return np.min(mins, axis=0)
-
-        return cbar, c
-
-    return solve, row_transforms
+    return solve, dense_transforms
 
 
 def align(
@@ -560,8 +538,9 @@ def align(
     the smallest index whose objective lies within tolerance of the
     minimum, and the complementary-slackness witness is checked there.  Cost
     matrices are formed one entry at a time, so memory grows with N*M, not
-    N*M*l.  solve_dual on build_cost_tensor of the same instance is the
-    independent cross-check.
+    N*M*l.  identity_residuals certifies every entry's value on the same
+    per-entry transforms; solve_dual on build_cost_tensor of the same
+    instance is the independent cross-check.
     """
     if fam.source_dim != mu.dim:
         raise ValueError(f"family maps from R^{fam.source_dim}, mu lives in R^{mu.dim}")

@@ -12,14 +12,9 @@ Families are given as spec strings:
                       maps x -> A^T x with penalty 8 ||A||_F^2
 
 Costs: "sq-euclidean" | "power:<p>" | "inner:<scale>".
-
-JSON reports carry floats formatted with 17 significant digits so values
-round-trip exactly; the writer below emits the fixed report schema directly.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -36,7 +31,6 @@ __all__ = [
     "write_matrix_csv",
     "parse_family",
     "parse_cost",
-    "json_dumps",
     "write_scatter_svg",
 ]
 
@@ -153,41 +147,6 @@ def parse_cost(spec: str) -> CostSpec:
     if kind == "inner" and sep:
         return CostSpec.inner(float(arg))
     raise ValueError(f"unknown cost spec {spec!r}")
-
-
-# ---------------------------------------------------------------------------
-# JSON with fixed float formatting
-# ---------------------------------------------------------------------------
-
-
-def _json_scalar(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if v is None:
-        return "null"
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        f = float(v)
-        if not math.isfinite(f):
-            raise ValueError("non-finite number in JSON report")
-        return format(f, ".17g")
-    if isinstance(v, str):
-        escaped = v.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    raise TypeError(f"cannot serialize {type(v)!r}")
-
-
-def json_dumps(obj, indent: int = 0) -> str:
-    pad = " " * indent
-    if isinstance(obj, dict):
-        items = [f'{pad}  {_json_scalar(str(k))}: {json_dumps(v, indent + 2).lstrip()}'
-                 for k, v in obj.items()]
-        return pad + "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        seq = list(obj)
-        return pad + "[" + ", ".join(json_dumps(v).strip() for v in seq) + "]"
-    return pad + _json_scalar(obj)
 
 
 # ---------------------------------------------------------------------------

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 import wassalign.alignment
+from wassalign import tolerance
 from wassalign.alignment import (
     align,
     brute_force,
     compute_J_psi,
     extract_theta,
     gap_certificate,
+    identity_residuals,
     solve_dual,
     solve_relaxed_primal,
 )
@@ -300,6 +302,46 @@ def test_gap_certificate_at_optimum_and_random_entries():
             assert cert.identity_residual <= 1e-6
             assert cert.delta >= -1e-8
             assert cert.g >= -1e-8
+
+
+def _penalized_line_instance(rng):
+    """Weighted planar cloud, l projections onto the line with random
+    penalties, and a weighted sample on the line: the quantile route."""
+    N, M, l = (int(rng.integers(4, 10)) for _ in range(3))
+    mu = new_measure(rng.normal(size=(N, 2)), weights=rng.dirichlet(np.ones(N)))
+    nu = new_measure(rng.normal(size=(M, 1)), weights=rng.dirichlet(np.ones(M)))
+    entries = tuple(
+        FamilyEntry(f"t{k}", np.array([[np.cos(t), np.sin(t)]]), np.zeros(1), rng.uniform(0.0, 1.0))
+        for k, t in enumerate(rotation_grid_angles(l))
+    )
+    return mu, nu, TransformFamily(entries)
+
+
+def test_identity_residuals_match_the_tensor_certificates():
+    # every entry of the affine (transport-LP) and line (quantile) corpora,
+    # with the instance scaled by s: points and offsets by s, penalties by
+    # s^2 as the sq-euclidean costs
+    rng = np.random.default_rng(22)
+    spec = CostSpec.squared_euclidean()
+    for make in (random_affine_instance, _penalized_line_instance):
+        for _ in range(3):
+            mu0, nu0, fam0 = make(rng)
+            for s in (1.0, 1e-4, 1e5):
+                mu = new_measure(mu0.points * s, weights=mu0.weights)
+                nu = new_measure(nu0.points * s, weights=nu0.weights)
+                fam = TransformFamily(tuple(
+                    FamilyEntry(e.label, e.matrix, e.offset * s, e.penalty * s**2) for e in fam0
+                ))
+                report = align(mu, nu, fam, spec)
+                residuals = identity_residuals(report, mu, nu, fam, spec)
+                ct = build_cost_tensor(mu, nu, fam, spec)
+                size = np.max(np.abs(ct.values).max(axis=(0, 1)) + np.abs(ct.penalties))
+                bound = tolerance.of(size)
+                assert residuals.shape == (len(fam),)
+                for k in range(len(fam)):
+                    tensor = gap_certificate(k, mu, nu, ct, report.value).identity_residual
+                    assert abs(residuals[k] - tensor) <= bound
+                    assert residuals[k] <= bound and tensor <= bound
 
 
 def test_value_continuity_under_point_perturbation():

@@ -1,13 +1,15 @@
 import json
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
 
-from wassalign.alignment import align
+import wassalign.measures
+from wassalign.alignment import align, identity_residuals
 from wassalign.cli import main
 from wassalign.dataio import parse_cost, parse_family, read_points_csv
-from wassalign.measures import new_measure
+from wassalign.measures import new_measure, rotation_grid
 
 REPORT_KEYS = {"value", "thetaStar", "iCurve", "gapCurve", "psi", "planNnz", "timingsMs"}
 
@@ -32,7 +34,7 @@ def cloud_pair(tmp_path):
     return mu, nu, pts
 
 
-def test_align_identical_clouds(tmp_path, cloud_pair):
+def test_align_identical_clouds(tmp_path, cloud_pair, capsys):
     mu, nu, pts = cloud_pair
     out = tmp_path / "report.json"
     svg = tmp_path / "aligned.svg"
@@ -57,6 +59,13 @@ def test_align_identical_clouds(tmp_path, cloud_pair):
     assert len(circles) == 2 * len(pts)
     rows, _ = read_points_csv(str(curve))
     assert rows.shape == (8, 3)
+    # stdout certifies every entry's transport value: the largest identity residual
+    stdout = capsys.readouterr().out
+    printed = float(stdout.split("gap-identity-residual=")[1].split()[0])
+    assert printed <= 1e-9
+    m, fam, cost = new_measure(pts), rotation_grid(8), parse_cost("sq-euclidean")
+    worst = identity_residuals(align(m, m, fam, cost), m, m, fam, cost).max()
+    assert f"{printed:.2e}" == f"{worst:.2e}"
 
 
 def test_align_reports_are_deterministic(tmp_path, cloud_pair):
@@ -167,6 +176,44 @@ def test_align_line_target_takes_the_quantile_route(tmp_path):
     report = align(new_measure(pts2), new_measure(pts1), fam, parse_cost("sq-euclidean"))
     assert doc["value"] == report.value
     assert doc["thetaStar"] == {"index": report.theta_star, "label": report.theta_star_label}
+
+
+def test_align_line_target_forms_no_cost_tensor(tmp_path):
+    # 1500 x 1500 x 8 with a 1-d target: the tensor would be 144 MB and one
+    # N x M array 18 MB; the quantile route and its certificate hold O(N + M)
+    rng = np.random.default_rng(21)
+    N = M = 1500
+    mu = tmp_path / "mu.csv"
+    nu = tmp_path / "nu.csv"
+    write_cloud(mu, rng.normal(size=(N, 2)))
+    write_cloud(nu, rng.normal(size=(M, 1)))
+    fam_csv = tmp_path / "maps.csv"
+    write_cloud(fam_csv, [(np.cos(t), np.sin(t)) for t in np.linspace(0.0, np.pi, 8)])
+    tracemalloc.start()
+    try:
+        rc = main([
+            "align", "--mu", str(mu), "--nu", str(nu),
+            "--family", f"matrices:{fam_csv}", "--out", str(tmp_path / "r.json"),
+        ])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < N * M * 8 / 4
+
+
+def test_align_plane_target_forms_no_cost_tensor(tmp_path, cloud_pair, monkeypatch):
+    mu, nu, _ = cloud_pair
+
+    def refuse(self):
+        raise AssertionError("the CLI formed a cost tensor")
+
+    monkeypatch.setattr(wassalign.measures.CostTensor, "__post_init__", refuse)
+    rc = main([
+        "align", "--mu", str(mu), "--nu", str(nu),
+        "--family", "rotations2d:6", "--out", str(tmp_path / "r.json"),
+    ])
+    assert rc == 0
 
 
 def test_ot_command(tmp_path, capsys):

@@ -51,8 +51,18 @@ def test_cli_and_align_leave_scipy_optimize_unloaded():
     # no module on the CLI path imports scipy: importing scipy.sparse cost
     # 0.26 s of a 0.46 s `import wassalign.cli`, and scipy.optimize grows a
     # process from 51.2 to 76.9 MB RSS (Python 3.11, scipy 1.17).  Only the
-    # cross-check LPs import it, inside the functions that solve them
-    code = ALIGN_AFTER_CLI_IMPORT + "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    # cross-check LPs import it, inside the functions that solve them.  The
+    # CLI's certificate and JSON report run here too
+    code = ALIGN_AFTER_CLI_IMPORT + (
+        "import contextlib, io, os, tempfile\n"
+        "with tempfile.TemporaryDirectory() as d, contextlib.redirect_stdout(io.StringIO()):\n"
+        "    for name, m in (('mu.csv', mu), ('nu.csv', nu)):\n"
+        "        np.savetxt(os.path.join(d, name), m.points, delimiter=',')\n"
+        "    mu_csv, nu_csv, out = (os.path.join(d, f) for f in ('mu.csv', 'nu.csv', 'r.json'))\n"
+        "    argv = ['align', '--mu', mu_csv, '--nu', nu_csv, '--family', 'rotations2d:4', '--out', out]\n"
+        "    assert wassalign.cli.main(argv) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
     assert _run(code) == "[]"
 
 

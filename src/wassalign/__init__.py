@@ -2,12 +2,10 @@
 
 from wassalign.measures import (
     CostSpec,
-    CostTensor,
     DegenerateSupportError,
     DiscreteMeasure,
     FamilyEntry,
     TransformFamily,
-    build_cost_tensor,
     igw_family,
     new_measure,
     pairwise_cost,
@@ -28,19 +26,18 @@ from wassalign.ot import (
     wasserstein,
     wasserstein_1d,
 )
-from wassalign.alignment import (
-    AlignmentDual,
-    AlignmentReport,
+from wassalign.alignment import AlignmentDual, AlignmentReport, align, identity_residuals
+from wassalign.crosscheck import (
     BruteForceResult,
+    CostTensor,
     GapCertificate,
     RelaxedPrimal,
     ThetaExtraction,
-    align,
     brute_force,
+    build_cost_tensor,
     compute_J_psi,
     extract_theta,
     gap_certificate,
-    identity_residuals,
     solve_dual,
     solve_relaxed_primal,
 )

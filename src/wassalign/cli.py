@@ -92,6 +92,9 @@ def cmd_align(args) -> int:
     try:
         report = align(mu, nu, fam, cost)
         worst_identity = identity_residuals(report, mu, nu, fam, cost).max()
+    except ValueError as exc:  # such as costs that overflow a double
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except LpSolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER
@@ -127,13 +130,11 @@ def cmd_ot(args) -> int:
     try:
         mu = _load_measure(args.mu)
         nu = _load_measure(args.nu)
-        cost = parse_cost(args.cost)
-        C = pairwise_cost(mu.points, nu.points, cost)
-    except (OSError, ValueError) as exc:
+        C = pairwise_cost(mu.points, nu.points, parse_cost(args.cost))
+        res = wasserstein(mu.weights, nu.weights, C)
+    except (OSError, ValueError) as exc:  # ValueError also for costs that overflow
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    try:
-        res = wasserstein(mu.weights, nu.weights, C)
     except LpSolverError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return EXIT_SOLVER

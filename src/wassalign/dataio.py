@@ -85,11 +85,6 @@ def write_matrix_csv(path: str, values: np.ndarray, header=None) -> None:
             fh.write(",".join(format(v, ".17g") for v in row) + "\n")
 
 
-def _read_matrix_rows(path: str):
-    data, _ = read_points_csv(path)
-    return data
-
-
 def parse_family(spec: str, source_dim: int, target_dim: int) -> TransformFamily:
     """Build a transform family from a spec string.
 
@@ -105,7 +100,7 @@ def parse_family(spec: str, source_dim: int, target_dim: int) -> TransformFamily
             raise ValueError("rotations2d requires 2-d source and target measures")
         return rotation_grid(l)
     if kind == "matrices":
-        rows = _read_matrix_rows(arg)
+        rows, _ = read_points_csv(arg)
         d, n = target_dim, source_dim
         entries = []
         for idx, row in enumerate(rows):
@@ -124,7 +119,7 @@ def parse_family(spec: str, source_dim: int, target_dim: int) -> TransformFamily
             )
         return TransformFamily(tuple(entries))
     if kind == "igw":
-        rows = _read_matrix_rows(arg)
+        rows, _ = read_points_csv(arg)
         n, d = source_dim, target_dim
         mats = []
         for idx, row in enumerate(rows):

@@ -1,9 +1,9 @@
-"""Discrete measures, affine transform families, and cost tensors.
+"""Discrete measures, affine transform families, and ground costs.
 
 A measure is a weighted finite point set sum_i w_i * delta_{x_i} on R^dim.
 A transform family is a finite list of affine maps x -> M x + b, each carrying
-a scalar penalty.  The cost tensor stacks c(T_k x_i, z_j) over all family
-entries; it is the data object the alignment LP is built from.
+a scalar penalty.  `pairwise_cost` evaluates a ground cost between two point
+sets; the cost tensor over a whole family lives in `wassalign.crosscheck`.
 """
 
 from __future__ import annotations
@@ -19,14 +19,12 @@ __all__ = [
     "FamilyEntry",
     "TransformFamily",
     "CostSpec",
-    "CostTensor",
     "DegenerateSupportError",
     "new_measure",
     "probability_vector",
     "whiten",
     "pushforward",
     "pairwise_cost",
-    "build_cost_tensor",
     "rotation_grid",
     "rotation_grid_angles",
     "stiefel_validate",
@@ -301,56 +299,6 @@ def pairwise_cost(Y: np.ndarray, Z: np.ndarray, cost: CostSpec) -> np.ndarray:
     if cost.kind == "sq-euclidean":
         return sq
     return np.power(sq, cost.p / 2.0)
-
-
-@dataclass(frozen=True)
-class CostTensor:
-    """values[i, j, k] = c(T_k x_i, z_j), plus the penalty vector R_k."""
-
-    values: np.ndarray  # (N, M, l)
-    penalties: np.ndarray  # (l,)
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        r = np.asarray(self.penalties, dtype=float)
-        if v.ndim != 3:
-            raise ValueError(f"values must be (N, M, l), got shape {v.shape}")
-        if r.shape != (v.shape[2],):
-            raise ValueError(f"penalties shape {r.shape} does not match l={v.shape[2]}")
-        if not (np.all(np.isfinite(v)) and np.all(np.isfinite(r))):
-            raise ValueError("non-finite cost tensor entry")
-        object.__setattr__(self, "values", _readonly(v))
-        object.__setattr__(self, "penalties", _readonly(r))
-
-    @property
-    def shape(self) -> tuple:
-        return self.values.shape
-
-    def folded(self) -> np.ndarray:
-        """values with penalties folded in: c_ijk + R_k."""
-        return self.values + self.penalties[None, None, :]
-
-    def slice(self, k: int) -> np.ndarray:
-        """(N, M) cost matrix of family entry k, penalty excluded."""
-        return self.values[:, :, k]
-
-
-def build_cost_tensor(
-    mu: DiscreteMeasure,
-    nu: DiscreteMeasure,
-    fam: TransformFamily,
-    cost: CostSpec,
-) -> CostTensor:
-    """Evaluate c(T_k x_i, z_j) for every (i, j, k)."""
-    if fam.source_dim != mu.dim:
-        raise ValueError(f"family maps from R^{fam.source_dim}, mu lives in R^{mu.dim}")
-    if fam.target_dim != nu.dim:
-        raise ValueError(f"family maps into R^{fam.target_dim}, nu lives in R^{nu.dim}")
-    N, M, l = mu.size, nu.size, len(fam)
-    values = np.empty((N, M, l))
-    for k, entry in enumerate(fam):
-        values[:, :, k] = pairwise_cost(entry.apply(mu.points), nu.points, cost)
-    return CostTensor(values, fam.penalties)
 
 
 def rotation_grid_angles(l: int) -> np.ndarray:

@@ -247,19 +247,15 @@ def c_transform_1d(phi, y, z, power: float = 2.0) -> np.ndarray:
     return _line_transform(phi, z, y, power)
 
 
-def _propagate_potentials(cost, ii):
-    """Solve phi_i + psi_j = cost[k] on the cells of a staircase, ii[k] the row of cell k.
+def _propagate_psi(cost, ii):
+    """psi of phi_i + psi_j = cost[k] on the cells of a staircase, ii[k] the row of cell k.
 
     Consecutive cells differ by one unit step, to the next source or to the
-    next target, and each step meets one new potential: with phi_0 = 0,
-    phi and psi are the cumulative sums of the cost differences over the
-    source steps and over the target steps.
+    next target, and each step meets one new potential: psi is cost[0] plus
+    the cumulative sum of the cost differences over the target steps.
     """
-    step = np.diff(cost)
     to_next_source = np.diff(ii) == 1
-    phi = np.concatenate([[0.0], np.cumsum(step[to_next_source])])
-    psi = cost[0] + np.concatenate([[0.0], np.cumsum(step[~to_next_source])])
-    return phi, psi
+    return cost[0] + np.concatenate([[0.0], np.cumsum(np.diff(cost)[~to_next_source])])
 
 
 def wasserstein_1d(y, p, z, q, power: float = 2.0) -> OtResult:
@@ -272,7 +268,8 @@ def wasserstein_1d(y, p, z, q, power: float = 2.0) -> OtResult:
     phi = cbar_transform(psi), which is dual feasible by construction.  The
     certificate is the duality gap between that dual pair and the primal
     value, checked against the tolerance of the largest cost; a failed
-    check, or a NaN or infinite point, raises ArithmeticError.
+    check, or a NaN or infinite point, raises ArithmeticError, and a
+    largest cost that overflows raises ValueError, as `wasserstein` does.
 
     The plan is the staircase's N + M - 1 cells.  Cost: O((N + M) log(N + M))
     -- the sorts, the staircase, and the cbar-transform by monotone row
@@ -293,14 +290,16 @@ def wasserstein_1d(y, p, z, q, power: float = 2.0) -> OtResult:
     y_s, p_s = y[order_y], p[order_y]
     z_s, q_s = z[order_z], q[order_z]
     N, M = y.size, z.size
+    largest_cost = max(abs(y_s[-1] - z_s[0]), abs(z_s[-1] - y_s[0])) ** power
+    if not np.isfinite(largest_cost):
+        raise ValueError("non-finite cost")
 
     ii, jj, mm = staircase(p_s, q_s)
     cost = np.abs(y_s[ii] - z_s[jj]) ** power
     value = float(mm @ cost)
-    _, psi_s = _propagate_potentials(cost, ii)
+    psi_s = _propagate_psi(cost, ii)
     phi_s = _monge_row_min(y_s, z_s, psi_s, power)
     gap = abs(float(phi_s @ p_s + psi_s @ q_s) - value)
-    largest_cost = max(abs(y_s[-1] - z_s[0]), abs(z_s[-1] - y_s[0])) ** power
     if not gap <= tolerance.of(largest_cost):
         raise ArithmeticError(
             f"1-d potentials failed verification (gap {gap:.3e}); "

@@ -1,4 +1,5 @@
-"""Every threshold of `measures`, `lp`, `ot`, `alignment` and `euclidean`, kept in one place.
+"""Every threshold of `measures`, `lp`, `ot`, `alignment`, `crosscheck` and `euclidean`,
+and the one tie rule, kept in one place.
 
 A threshold on values -- costs, objectives, reduced costs, right-hand sides,
 potentials -- is REL times the size of the data it compares (`of`), so
@@ -8,8 +9,8 @@ residuals and the moments of a whitened measure are unit-free (weights sum
 to 1; a whitened covariance is I), so their thresholds are absolute.  The
 transport simplex has no pivot threshold: its basis is a spanning tree, and
 a pivot moves the flows of its cycle by exactly the leaving cell's flow.
-The two cross-check LPs of `alignment` pass no thresholds to HiGHS; they
-scale their costs instead.
+The two LPs of `crosscheck` pass no thresholds to HiGHS; they scale their
+costs instead.
 """
 
 import numpy as np
@@ -28,3 +29,10 @@ WHITENED_TOL = 1e-10  # largest |mean| and |covariance - I| entry of a whitened 
 def of(*data) -> float:
     """REL times the largest magnitude among data (numbers or arrays)."""
     return REL * max(float(np.max(np.abs(d), initial=0.0)) for d in data)
+
+
+def argmin_set(values: np.ndarray, size: float) -> list:
+    """Ascending indices of values within of(size) of their minimum: the tie
+    rule of every optimizer set (`align`, `brute_force`, `extract_theta`)."""
+    cut = float(values.min()) + of(size)
+    return [int(k) for k in np.flatnonzero(values <= cut)]

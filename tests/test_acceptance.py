@@ -12,18 +12,18 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-from wassalign.alignment import (
+from wassalign.cli import main
+from wassalign.crosscheck import (
+    CostTensor,
     brute_force,
     extract_theta,
     gap_certificate,
     solve_dual,
     solve_relaxed_primal,
 )
-from wassalign.cli import main
 from wassalign.euclidean import updown_check
 from wassalign.measures import (
     CostSpec,
-    CostTensor,
     new_measure,
     pairwise_cost,
     whiten,

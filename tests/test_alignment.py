@@ -5,22 +5,21 @@ import pytest
 
 import wassalign.alignment
 from wassalign import tolerance
-from wassalign.alignment import (
-    align,
+from wassalign.alignment import align, identity_residuals
+from wassalign.crosscheck import (
+    CostTensor,
     brute_force,
+    build_cost_tensor,
     compute_J_psi,
     extract_theta,
     gap_certificate,
-    identity_residuals,
     solve_dual,
     solve_relaxed_primal,
 )
 from wassalign.measures import (
     CostSpec,
-    CostTensor,
     FamilyEntry,
     TransformFamily,
-    build_cost_tensor,
     new_measure,
     pushforward,
     rotation_grid,
@@ -475,6 +474,29 @@ def test_align_chains_each_entry_basis_into_the_next(monkeypatch):
         assert all(s[k] is r[k - 1].basis for k in range(1, len(fam)))
     np.testing.assert_array_equal(first.per_theta, second.per_theta)
     np.testing.assert_array_equal(first.plan.matrix, second.plan.matrix)
+
+
+def test_entry_route_keeps_no_state(monkeypatch):
+    # the warm start is the caller's argument: a solve without one starts
+    # cold, whatever the route solved before
+    rng = np.random.default_rng(23)
+    mu = new_measure(rng.normal(size=(6, 2)))
+    nu = new_measure(rng.normal(size=(5, 2)))
+    starts = []
+    solve_ot = wassalign.alignment.wasserstein
+
+    def recorded(p, q, C, start=None):
+        starts.append(start)
+        return solve_ot(p, q, C, start=start)
+
+    monkeypatch.setattr(wassalign.alignment, "wasserstein", recorded)
+    solve, _ = wassalign.alignment._entry_solver(mu, nu, CostSpec.squared_euclidean())
+    y = rotation_grid(4)[1].apply(mu.points)
+    first, _ = solve(y)
+    solve(y)
+    assert [start is None for start in starts] == [True, True]
+    solve(y, first.basis)
+    assert starts[2] is first.basis
 
 
 def test_quantile_route_forms_no_cost_rows(monkeypatch):

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
-import wassalign.measures
+import wassalign.crosscheck
 from wassalign.alignment import align, identity_residuals
 from wassalign.cli import main
 from wassalign.dataio import parse_cost, parse_family, read_points_csv
@@ -131,6 +131,32 @@ def test_align_bad_family_spec(tmp_path, cloud_pair, capsys):
     assert "family" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["align-plane", "align-line", "ot"])
+def test_overflowing_costs_are_one_error_line(tmp_path, capsys, command):
+    # at 1e160 the squared distances overflow a double: every route refuses
+    # the non-finite cost, and the CLI reports it as an input error
+    rng = np.random.default_rng(21)
+    mu, nu, maps = tmp_path / "mu.csv", tmp_path / "nu.csv", tmp_path / "maps.csv"
+    target_dim = 1 if command == "align-line" else 2
+    write_cloud(mu, rng.normal(size=(8, 2)) * 1e160)
+    write_cloud(nu, rng.normal(size=(6, target_dim)) * 1e160)
+    write_cloud(maps, [(1.0, 0.0), (0.0, 1.0)])
+    family = {"align-plane": "rotations2d:4", "align-line": f"matrices:{maps}"}
+    if command == "ot":
+        argv = ["ot", "--mu", str(mu), "--nu", str(nu), "--out", str(tmp_path / "o")]
+    else:
+        argv = [
+            "align", "--mu", str(mu), "--nu", str(nu),
+            "--family", family[command], "--out", str(tmp_path / "r.json"),
+        ]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    assert rc == 1
+    assert len(errors) == 1 and "non-finite cost" in errors[0]
+    assert "Traceback" not in err
+
+
 def test_align_matrix_family_with_penalties(tmp_path):
     rng = np.random.default_rng(5)
     pts2 = rng.normal(size=(6, 2))
@@ -208,7 +234,7 @@ def test_align_plane_target_forms_no_cost_tensor(tmp_path, cloud_pair, monkeypat
     def refuse(self):
         raise AssertionError("the CLI formed a cost tensor")
 
-    monkeypatch.setattr(wassalign.measures.CostTensor, "__post_init__", refuse)
+    monkeypatch.setattr(wassalign.crosscheck.CostTensor, "__post_init__", refuse)
     rc = main([
         "align", "--mu", str(mu), "--nu", str(nu),
         "--family", "rotations2d:6", "--out", str(tmp_path / "r.json"),

@@ -8,7 +8,8 @@ import pytest
 
 
 @pytest.mark.parametrize(
-    "module", ["wassalign.cli", "wassalign.normal", "wassalign.ot", "wassalign.alignment"]
+    "module",
+    ["wassalign.cli", "wassalign.normal", "wassalign.ot", "wassalign.alignment", "wassalign.crosscheck"],
 )
 def test_module_imports_only_public_names(module):
     # private helpers stay inside their module: a caller that needs one
@@ -24,6 +25,58 @@ def test_module_imports_only_public_names(module):
         if alias.name.startswith("_")
     ]
     assert private == []
+
+
+def _library_trees():
+    """(file name, syntax tree) of every module of the package but __init__,
+    which only re-exports the public names."""
+    package = os.path.dirname(importlib.import_module("wassalign").__file__)
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py") and name != "__init__.py":
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read())
+
+
+def _names(tree):
+    """Every identifier the module binds, reads or imports, and every module it imports."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            yield node.name
+        elif isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            yield node.module or ""
+            yield from (alias.name for alias in node.names)
+
+
+def test_only_crosscheck_touches_scipy_or_the_cost_tensor():
+    # the dense N*M*l tensor and the HiGHS LPs sit behind one module
+    found = {
+        (name, ident)
+        for name, tree in _library_trees()
+        if name != "crosscheck.py"
+        for ident in _names(tree)
+        if ident.split(".")[0] == "scipy" or ident in ("CostTensor", "linprog")
+    }
+    assert found == set()
+
+
+def test_no_unused_imports():
+    unused = []
+    for name, tree in _library_trees():
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", "") != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [(name, ident) for ident in sorted(imported - used)]
+    assert unused == []
 
 
 ALIGN_AFTER_CLI_IMPORT = (

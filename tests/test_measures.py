@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
+from wassalign.crosscheck import build_cost_tensor
 from wassalign.measures import (
     CostSpec,
     DegenerateSupportError,
     DiscreteMeasure,
     FamilyEntry,
     TransformFamily,
-    build_cost_tensor,
     igw_family,
     new_measure,
     pairwise_cost,

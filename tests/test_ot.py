@@ -290,6 +290,14 @@ def test_1d_infinite_point_fails_verification(y, z):
         wasserstein_1d(y, [0.5, 0.5], z, [0.5, 0.5])
 
 
+def test_1d_overflowing_cost_is_refused():
+    # |y - z|^2 of 1e160-sized points overflows; the gap check would see NaN
+    rng = np.random.default_rng(22)
+    y, z = rng.normal(size=8) * 1e160, rng.normal(size=6) * 1e160
+    with pytest.raises(ValueError, match="non-finite cost"):
+        wasserstein_1d(y, np.full(8, 1 / 8), z, np.full(6, 1 / 6))
+
+
 def _line_instance(rng, N, M, kind, scale):
     """N source and M target points on the line, at the given scale."""
     if kind == "grid":  # duplicate points and equal costs

@@ -18,12 +18,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import wassalign
-from wassalign.alignment import align, extract_theta, solve_dual
+from wassalign.alignment import align
+from wassalign.crosscheck import build_cost_tensor, extract_theta, solve_dual
 from wassalign.measures import (
     CostSpec,
     FamilyEntry,
     TransformFamily,
-    build_cost_tensor,
     new_measure,
     rotation_grid,
     rotation_grid_angles,
@@ -184,7 +184,7 @@ def _small_float_literals(path):
 
 
 @pytest.mark.parametrize(
-    "module", ["measures.py", "lp.py", "ot.py", "alignment.py", "euclidean.py"]
+    "module", ["measures.py", "lp.py", "ot.py", "alignment.py", "crosscheck.py", "euclidean.py"]
 )
 def test_thresholds_live_in_the_tolerance_policy(module):
     path = pathlib.Path(wassalign.__file__).parent / module

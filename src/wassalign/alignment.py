@@ -96,18 +96,6 @@ def _folded_size(largest_costs, penalties) -> float:
     return float(np.max(np.asarray(largest_costs) + np.abs(penalties)))
 
 
-def _canonical_potentials(raw_psi: np.ndarray, transforms) -> PotentialPair:
-    """Replace an optimal psi by its cbar-concave representative.
-
-    psi* = (psi^cbar)^c satisfies psi* >= psi and (psi*)^cbar = psi^cbar, so
-    the pair (psi^cbar, psi*) is feasible with the same optimal objective.
-    transforms is the (cbar, c) pair of the entry's cost.
-    """
-    cbar, c = transforms
-    phi = cbar(raw_psi)
-    return PotentialPair(phi, c(phi))
-
-
 def _assemble_dual(per_theta, pots, penalties, q, transforms) -> AlignmentDual:
     """Exact optimal dual from per-entry Kantorovich potentials.
 
@@ -116,13 +104,18 @@ def _assemble_dual(per_theta, pots, penalties, q, transforms) -> AlignmentDual:
     alpha_k = per_theta[k] - value into the xi side.  The pair stays feasible
     (alpha_k >= 0 only lowers xi) and its objective telescopes to the
     brute-force value, which certifies optimality by weak duality.
-    transforms(k) is the (cbar, c) pair of entry k's cost; only the
-    optimizer's potentials, made canonical, need it.
+
+    The optimizer's pair is made canonical: the solvers return
+    phi = psi^cbar, and psi* = phi^c satisfies psi* >= psi and
+    (psi*)^cbar = phi, so (phi, psi*) is feasible with the same optimal
+    objective.  transforms(k) is the (cbar, c) pair of entry k's cost; only
+    that c-transform needs it.
     """
     value = float(per_theta.min())
     k0 = int(np.argmin(per_theta))
     pots = list(pots)
-    pots[k0] = _canonical_potentials(pots[k0].psi, transforms(k0))
+    _, c = transforms(k0)
+    pots[k0] = PotentialPair(pots[k0].phi, c(pots[k0].phi))
     N, M, l = pots[0].phi.size, pots[0].psi.size, len(pots)
     xi = np.empty((N, l))
     psi = np.empty((M, l))
@@ -151,8 +144,9 @@ def identity_residuals(
     _, transforms = _entry_solver(mu, nu, cost)
     out = np.empty(len(fam))
     for k, entry in enumerate(fam):
-        pot = _canonical_potentials(report.dual.psi[:, k], transforms(entry.apply(mu.points)))
-        dual_objective = float(mu.weights @ pot.phi + nu.weights @ pot.psi)
+        cbar, c = transforms(entry.apply(mu.points))
+        phi = cbar(report.dual.psi[:, k])
+        dual_objective = float(mu.weights @ phi + nu.weights @ c(phi))
         out[k] = abs(report.per_theta[k] - entry.penalty - dual_objective)
     return out
 
@@ -160,14 +154,15 @@ def identity_residuals(
 def _entry_solver(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
     """Exact OT for one family entry, and the (cbar, c) transforms of the
     cost matrix that solver sees.  Both take the image y = T_k(x) of mu's
-    support; solve(y, start) returns the entry's OtResult and its cost
-    matrix's largest magnitude, and keeps no state between calls.  A target
-    on the line under a power of the distance takes the quantile solver,
-    which ignores start, and its transforms are monotone row minima on the
-    line; neither forms a cost matrix.  Any other instance poses the
-    transport LP on a cost matrix formed once per solve, started from the
-    simplex basis start when one is given, and transforms(y) forms one cost
-    matrix that its cbar and c transforms share.
+    support; solve(y, start) returns the entry's OtResult, whose
+    largest_cost sizes the entry's tolerances, and keeps no state between
+    calls.  A target on the line under a power of the distance takes the
+    quantile solver, which ignores start, and its transforms are monotone
+    row minima on the line; neither forms a cost matrix.  Any other
+    instance poses the transport LP on a cost matrix formed once per solve,
+    started from the simplex basis start when one is given, and
+    transforms(y) forms one cost matrix that its cbar and c transforms
+    share.
     """
     p, q = mu.weights, nu.weights
     if nu.dim == 1 and cost.kind in ("sq-euclidean", "power"):
@@ -175,8 +170,7 @@ def _entry_solver(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
         power = 2.0 if cost.kind == "sq-euclidean" else cost.p
 
         def line_solve(y, start=None):
-            largest_cost = max(abs(y.max() - z.min()), abs(z.max() - y.min())) ** power
-            return wasserstein_1d(y[:, 0], p, z, q, power=power), largest_cost
+            return wasserstein_1d(y[:, 0], p, z, q, power=power)
 
         def line_transforms(y):
             return (
@@ -190,8 +184,9 @@ def _entry_solver(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
         return pairwise_cost(y, nu.points, cost)
 
     def solve(y, start=None):
-        C = cost_of(y)
-        return wasserstein(p, q, C, start=start), float(np.abs(C).max())
+        with np.errstate(over="ignore", invalid="ignore"):  # wasserstein refuses a non-finite C
+            C = cost_of(y)
+        return wasserstein(p, q, C, start=start)
 
     def dense_transforms(y):
         C = cost_of(y)
@@ -226,14 +221,13 @@ def align(
     penalties = fam.penalties
     solve, transforms = _entry_solver(mu, nu, cost)
     images = [entry.apply(mu.points) for entry in fam]
-    solves, largest_costs, start = [], [], None
+    solves, start = [], None
     for y in images:
-        res, largest_cost = solve(y, start)
+        res = solve(y, start)
         solves.append(res)
-        largest_costs.append(largest_cost)
         start = res.basis  # the entries share p and q: each optimal basis fits the next
     per_theta = np.array([res.value for res in solves]) + penalties
-    size = _folded_size(largest_costs, penalties)
+    size = _folded_size([res.largest_cost for res in solves], penalties)
 
     dual = _assemble_dual(
         per_theta,

@@ -130,7 +130,8 @@ def cmd_ot(args) -> int:
     try:
         mu = _load_measure(args.mu)
         nu = _load_measure(args.nu)
-        C = pairwise_cost(mu.points, nu.points, parse_cost(args.cost))
+        with np.errstate(over="ignore", invalid="ignore"):  # wasserstein refuses a non-finite C
+            C = pairwise_cost(mu.points, nu.points, parse_cost(args.cost))
         res = wasserstein(mu.weights, nu.weights, C)
     except (OSError, ValueError) as exc:  # ValueError also for costs that overflow
         print(f"error: {exc}", file=sys.stderr)

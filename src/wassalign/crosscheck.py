@@ -109,8 +109,9 @@ def build_cost_tensor(
         raise ValueError(f"family maps into R^{fam.target_dim}, nu lives in R^{nu.dim}")
     N, M, l = mu.size, nu.size, len(fam)
     values = np.empty((N, M, l))
-    for k, entry in enumerate(fam):
-        values[:, :, k] = pairwise_cost(entry.apply(mu.points), nu.points, cost)
+    with np.errstate(over="ignore", invalid="ignore"):  # CostTensor refuses a non-finite entry
+        for k, entry in enumerate(fam):
+            values[:, :, k] = pairwise_cost(entry.apply(mu.points), nu.points, cost)
     return CostTensor(values, fam.penalties)
 
 

@@ -11,7 +11,11 @@ sorted supports, is the monotone coupling, which is optimal for costs
 O((N + M) log(N + M)) and certifies them by the duality gap.  On the line
 the cost minus a potential is a Monge matrix, so its cbar- and
 c-transforms (`cbar_transform_1d`, `c_transform_1d`) take monotone row
-minima instead of a pass over all N x M cells.  Both solvers return their
+minima by divide and conquer, O((N + M) log N), instead of a pass over all
+N x M cells.  The quantile solver's own cbar-transform is one O(N + M)
+pass over small windows around the staircase, which certify themselves
+by the Monge property (`_staircase_row_min`); the divide and conquer is
+its fallback.  Both solvers return their
 plan as its support (`TransportPlan`), the N + M - 1 cells of the optimal
 basis or of the staircase, and check and renormalize their weights by
 `measures.probability_vector`.
@@ -125,6 +129,7 @@ class OtResult:
     value: float
     plan: TransportPlan
     potentials: PotentialPair
+    largest_cost: float  # max_ij |C_ij|, the scale of the solve's certificate
     # optimal simplex basis of the transport LP (None from the quantile solver)
     basis: np.ndarray | None = field(default=None, repr=False)
 
@@ -151,7 +156,8 @@ def wasserstein(p, q, C, start=None) -> OtResult:
     """Exact OT between weight vectors p, q under the cost matrix C.
 
     Returns the minimal cost, an optimal vertex plan on the cells of the
-    optimal simplex basis, and Kantorovich potentials from the LP row duals.
+    optimal simplex basis, Kantorovich potentials from the LP row duals,
+    and max |C| as largest_cost.
     The source potential is recomputed as cbar_transform(psi), which keeps
     the dual objective and yields the canonical cbar-concave representative.
 
@@ -175,7 +181,8 @@ def wasserstein(p, q, C, start=None) -> OtResult:
     plan = TransportPlan(rows, cols, sol.flow, prob.cost.shape)
     psi = sol.dual_rows[prob.p.size :]
     phi = cbar_transform(psi, prob.cost)
-    return OtResult(float(sol.objective), plan, PotentialPair(phi, psi), basis=sol.basis)
+    largest_cost = float(np.abs(prob.cost).max())
+    return OtResult(float(sol.objective), plan, PotentialPair(phi, psi), largest_cost, sol.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +221,67 @@ def _monge_row_min(y, z, psi, power):
         keep = lo_row < hi_row
         lo_row, hi_row, lo_col, hi_col = lo_row[keep], hi_row[keep], lo_col[keep], hi_col[keep]
     return out
+
+
+def _staircase_row_min(y, z, psi, power, ii, jj):
+    """min_j (|y_i - z_j|^power - psi_j) for every i, on sorted y and z, from
+    windows around the staircase (ii, jj), or None when the windows do not
+    certify themselves.
+
+    With fc_i and lc_i the first and last staircase columns of row i, row
+    i's window is W_i = [lo_i, hi_i] with lo_i = fc_(i-1) (0 for i = 0) and
+    hi_i = lc_(i+1) (M - 1 for i = N - 1).  All windows are minimized in one
+    pass: m_i is the minimum over W_i, and first_i and last_i are the first
+    and last columns of W_i that attain it.  A column lies in the windows of
+    the rows of its staircase cells and of one row on either side, so the
+    pass is O(N + M).
+
+    Claim: the m_i are the row minima of A_ij = |y_i - z_j|^power - psi_j
+    when both of these hold:
+        lo_i <= last_(i-1) <= hi_i    for every i >= 1,
+        lo_i <= first_(i+1) <= hi_i   for every i <= N - 2.
+    Proof: for power >= 1, A is Monge on sorted supports (psi_j does not
+    depend on i): A_ij + A_i'j' <= A_ij' + A_i'j for i < i', j < j'.  Going
+    down the rows, suppose every j < lo_(i-1) has A_(i-1)j >= m_(i-1).  With
+    j* = last_(i-1), every j < j* then has A_(i-1)j >= A_(i-1)j*, by that
+    hypothesis or because j* is a minimum of W_(i-1).  The Monge inequality
+    on rows i - 1 < i and columns j < j* gives
+    A_ij >= A_ij* + (A_(i-1)j - A_(i-1)j*) >= A_ij* >= m_i, the last step
+    because j* lies in W_i; as lo_i <= j*, every j < lo_i has A_ij >= m_i.
+    Going up the rows through first_(i+1) bounds every j > hi_i the same
+    way.  The outer inequalities hold by construction (last_(i-1) <=
+    hi_(i-1) = lc_i <= hi_i, and first_(i+1) >= lo_(i+1) = fc_i >= lo_i), so
+    only fc_(i-1) <= last_(i-1) and first_(i+1) <= lc_(i+1) are checked.
+    The comparisons are exact, with no tolerance; like `_monge_row_min`,
+    the proof takes the computed cells to be Monge.
+
+    The check holds when the staircase's cells hold the row minima, as they
+    do for the staircase's own potential at power > 1 on sources without
+    ties.  At power = 1, or with tied sources (equal rows), a row is flat
+    over stretches wider than its window, rounding puts its computed
+    minimum anywhere along them, and the check fails on most inputs; those
+    inputs return None at once, without the pass.  A NaN window gives a NaN
+    row.
+    """
+    if power == 1.0 or np.any(y[1:] == y[:-1]):
+        return None
+    step = np.flatnonzero(np.diff(ii))  # the last cell of every row but the last
+    fc = jj[np.concatenate([[0], step + 1])]
+    lc = jj[np.concatenate([step, [ii.size - 1]])]
+    lo = np.concatenate([[0], fc[:-1]])
+    hi = np.concatenate([lc[1:], [z.size - 1]])
+    width = hi - lo + 1
+    rows = np.repeat(np.arange(y.size), width)
+    begin = np.cumsum(width) - width
+    cols = np.arange(rows.size) + (lo - begin)[rows]
+    vals = np.abs(y[rows] - z[cols]) ** power - psi[cols]
+    out = np.minimum.reduceat(vals, begin)
+    # the cells at their row's minimum (all of a NaN row), in order: every row has one
+    hits = np.flatnonzero(~(vals > out[rows]))
+    new_row = np.flatnonzero(np.diff(rows[hits])) + 1
+    first, last = cols[hits[new_row]], cols[hits[new_row - 1]]  # rows 1..N-1, rows 0..N-2
+    chained = np.all(fc[:-1] <= last) and np.all(first <= lc[1:])
+    return out if chained else None
 
 
 def _line_transform(v, a, b, power):
@@ -265,15 +333,22 @@ def wasserstein_1d(y, p, z, q, power: float = 2.0) -> OtResult:
     atom still gets a potential.  The monotone (quantile) coupling, the
     `staircase` of the sorted supports, is optimal for convex costs.  psi
     is propagated along the staircase's cells and, as in `wasserstein`,
-    phi = cbar_transform(psi), which is dual feasible by construction.  The
+    phi = cbar_transform(psi), which is dual feasible by construction.  phi
+    is taken on windows around the staircase (about three columns a row
+    when N = M), in one O(N + M) pass, when the windows' minima certify
+    themselves by the Monge chain of `_staircase_row_min`: on sources
+    without ties at power > 1 they do.  Otherwise, and at once at power 1
+    or on tied sources, phi comes from the O((N + M) log N) divide and
+    conquer of `_monge_row_min`.  The
     certificate is the duality gap between that dual pair and the primal
-    value, checked against the tolerance of the largest cost; a failed
-    check, or a NaN or infinite point, raises ArithmeticError, and a
-    largest cost that overflows raises ValueError, as `wasserstein` does.
+    value, checked against the tolerance of the largest cost, which the
+    result keeps as largest_cost; a failed check, or a NaN or infinite
+    point, raises ArithmeticError, and a largest cost that overflows raises
+    ValueError, as `wasserstein` does.
 
     The plan is the staircase's N + M - 1 cells.  Cost: O((N + M) log(N + M))
-    -- the sorts, the staircase, and the cbar-transform by monotone row
-    minima -- and no N x M matrix.
+    -- the sorts, the staircase, and the cbar-transform -- and no N x M
+    matrix.
     """
     y = np.asarray(y, dtype=float).ravel()
     z = np.asarray(z, dtype=float).ravel()
@@ -290,7 +365,8 @@ def wasserstein_1d(y, p, z, q, power: float = 2.0) -> OtResult:
     y_s, p_s = y[order_y], p[order_y]
     z_s, q_s = z[order_z], q[order_z]
     N, M = y.size, z.size
-    largest_cost = max(abs(y_s[-1] - z_s[0]), abs(z_s[-1] - y_s[0])) ** power
+    with np.errstate(over="ignore"):
+        largest_cost = float(max(abs(y_s[-1] - z_s[0]), abs(z_s[-1] - y_s[0])) ** power)
     if not np.isfinite(largest_cost):
         raise ValueError("non-finite cost")
 
@@ -298,7 +374,9 @@ def wasserstein_1d(y, p, z, q, power: float = 2.0) -> OtResult:
     cost = np.abs(y_s[ii] - z_s[jj]) ** power
     value = float(mm @ cost)
     psi_s = _propagate_psi(cost, ii)
-    phi_s = _monge_row_min(y_s, z_s, psi_s, power)
+    phi_s = _staircase_row_min(y_s, z_s, psi_s, power, ii, jj)
+    if phi_s is None:
+        phi_s = _monge_row_min(y_s, z_s, psi_s, power)
     gap = abs(float(phi_s @ p_s + psi_s @ q_s) - value)
     if not gap <= tolerance.of(largest_cost):
         raise ArithmeticError(
@@ -311,4 +389,4 @@ def wasserstein_1d(y, p, z, q, power: float = 2.0) -> OtResult:
     phi[order_y] = phi_s
     psi[order_z] = psi_s
     plan = TransportPlan(order_y[ii], order_z[jj], mm, (N, M))
-    return OtResult(value, plan, PotentialPair(phi, psi))
+    return OtResult(value, plan, PotentialPair(phi, psi), largest_cost)

@@ -492,7 +492,7 @@ def test_entry_route_keeps_no_state(monkeypatch):
     monkeypatch.setattr(wassalign.alignment, "wasserstein", recorded)
     solve, _ = wassalign.alignment._entry_solver(mu, nu, CostSpec.squared_euclidean())
     y = rotation_grid(4)[1].apply(mu.points)
-    first, _ = solve(y)
+    first = solve(y)
     solve(y)
     assert [start is None for start in starts] == [True, True]
     solve(y, first.basis)

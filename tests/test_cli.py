@@ -1,5 +1,6 @@
 import json
 import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -134,7 +135,8 @@ def test_align_bad_family_spec(tmp_path, cloud_pair, capsys):
 @pytest.mark.parametrize("command", ["align-plane", "align-line", "ot"])
 def test_overflowing_costs_are_one_error_line(tmp_path, capsys, command):
     # at 1e160 the squared distances overflow a double: every route refuses
-    # the non-finite cost, and the CLI reports it as an input error
+    # the non-finite cost, and the CLI reports it as an input error with no
+    # numpy warning on the way
     rng = np.random.default_rng(21)
     mu, nu, maps = tmp_path / "mu.csv", tmp_path / "nu.csv", tmp_path / "maps.csv"
     target_dim = 1 if command == "align-line" else 2
@@ -149,9 +151,12 @@ def test_overflowing_costs_are_one_error_line(tmp_path, capsys, command):
             "align", "--mu", str(mu), "--nu", str(nu),
             "--family", family[command], "--out", str(tmp_path / "r.json"),
         ]
-    rc = main(argv)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(argv)
     err = capsys.readouterr().err
     errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert rc == 1
     assert len(errors) == 1 and "non-finite cost" in errors[0]
     assert "Traceback" not in err

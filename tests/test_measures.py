@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,19 @@ def test_cost_tensor_dimension_mismatch():
     nu = new_measure([(2.0,)], weights=[1.0])
     with pytest.raises(ValueError):
         build_cost_tensor(mu, nu, _identity_family(2), CostSpec.squared_euclidean())
+
+
+def test_cost_tensor_overflow_is_refused_without_a_warning():
+    # the squared distances of 1e160-sized points overflow: the tensor
+    # refuses the non-finite entries, and numpy's warning is not passed on
+    rng = np.random.default_rng(21)
+    mu = new_measure(rng.normal(size=(8, 2)) * 1e160)
+    nu = new_measure(rng.normal(size=(6, 2)) * 1e160)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="non-finite cost tensor entry"):
+            build_cost_tensor(mu, nu, _identity_family(2), CostSpec.squared_euclidean())
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def test_sq_euclidean_cost_is_symmetric():

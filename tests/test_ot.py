@@ -1,10 +1,12 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import wassalign.ot
 from wassalign import tolerance
 from wassalign.measures import (
     CostSpec,
@@ -14,6 +16,7 @@ from wassalign.measures import (
     stiefel_validate,
     whiten,
 )
+from wassalign.lp import staircase
 from wassalign.ot import (
     PotentialPair,
     TransportPlan,
@@ -291,11 +294,15 @@ def test_1d_infinite_point_fails_verification(y, z):
 
 
 def test_1d_overflowing_cost_is_refused():
-    # |y - z|^2 of 1e160-sized points overflows; the gap check would see NaN
+    # |y - z|^2 of 1e160-sized points overflows; the gap check would see NaN.
+    # The refusal is the report: numpy's overflow warning is not passed on
     rng = np.random.default_rng(22)
     y, z = rng.normal(size=8) * 1e160, rng.normal(size=6) * 1e160
-    with pytest.raises(ValueError, match="non-finite cost"):
-        wasserstein_1d(y, np.full(8, 1 / 8), z, np.full(6, 1 / 6))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="non-finite cost"):
+            wasserstein_1d(y, np.full(8, 1 / 8), z, np.full(6, 1 / 6))
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
 
 def _line_instance(rng, N, M, kind, scale):
@@ -331,7 +338,10 @@ def test_line_transforms_match_the_dense_transforms(seed, N, M, power, log_scale
         q = rng.dirichlet(np.ones(M)) * (rng.uniform(size=M) > 0.3)
         p[rng.integers(N)] += 1.0 - p.sum()
         q[rng.integers(M)] += 1.0 - q.sum()
-        psi = wasserstein_1d(y, p, z, q, power=power).potentials.psi
+        pair = wasserstein_1d(y, p, z, q, power=power).potentials
+        psi = pair.psi
+        # the solver's own phi, from the staircase's windows or the fallback
+        assert np.max(np.abs(pair.phi - cbar_transform(psi, C))) <= tolerance.of(largest)
     else:
         psi = rng.uniform(-1.0, 1.0, size=M) * largest
         if psi_kind == "coarse":  # few distinct values: ties among the row minima
@@ -340,6 +350,61 @@ def test_line_transforms_match_the_dense_transforms(seed, N, M, power, log_scale
     phi = cbar_transform_1d(psi, y, z, power)
     assert np.max(np.abs(phi - cbar_transform(psi, C))) <= tol
     assert np.max(np.abs(c_transform_1d(phi, y, z, power) - c_transform(phi, C))) <= tol
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    N=st.integers(1, 14),
+    M=st.integers(1, 14),
+    power=st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    kind=st.sampled_from(["normal", "grid"]),
+    psi_kind=st.sampled_from(["random", "other", "perturbed"]),
+)
+def test_staircase_windows_give_row_minima_or_nothing(seed, N, M, power, kind, psi_kind):
+    # a staircase with a psi that is not its potential: the windows either
+    # refuse to certify themselves or hold the dense row minima
+    rng = np.random.default_rng(seed)
+    y, z = (np.sort(v) for v in _line_instance(rng, N, M, kind, 1.0))
+    C = np.abs(y[:, None] - z[None, :]) ** power
+    largest = float(C.max())
+    ii, jj, _ = staircase(rng.dirichlet(np.ones(N)), rng.dirichlet(np.ones(M)))
+    if psi_kind == "random":
+        psi = rng.uniform(-1.0, 1.0, size=M) * largest
+    else:  # the potential of another staircase, or this one's moved a little
+        if psi_kind == "other":
+            ii2, jj2, _ = staircase(rng.dirichlet(np.ones(N)), rng.dirichlet(np.ones(M)))
+        else:
+            ii2, jj2 = ii, jj
+        psi = wassalign.ot._propagate_psi(C[ii2, jj2], ii2)
+        if psi_kind == "perturbed":
+            psi = psi + rng.normal(size=M) * largest * 10.0 ** rng.uniform(-6, 0)
+    phi = wassalign.ot._staircase_row_min(y, z, psi, power, ii, jj)
+    if phi is not None:
+        assert np.max(np.abs(phi - cbar_transform(psi, C))) <= tolerance.of(largest, psi)
+
+
+@pytest.mark.parametrize("power", [1.5, 2.0, 3.0])
+def test_tie_free_line_takes_the_windows_on_every_solve(monkeypatch, power):
+    # supports with no tied points at power > 1: the staircase's windows
+    # certify every solve, so the divide and conquer never runs
+    calls = []
+    row_min = wassalign.ot._monge_row_min
+
+    def counted(*args):
+        calls.append(args)
+        return row_min(*args)
+
+    monkeypatch.setattr(wassalign.ot, "_monge_row_min", counted)
+    rng = np.random.default_rng(int(power * 10))
+    uniform = np.full(300, 1 / 300)
+    for p, q in ((uniform, uniform), (rng.dirichlet(np.ones(300)), rng.dirichlet(np.ones(300)))):
+        y, z = rng.normal(size=300), rng.normal(size=300)
+        res = wasserstein_1d(y, p, z, q, power=power)
+        C = np.abs(y[:, None] - z[None, :]) ** power
+        assert res.potentials.objective(p, q) == pytest.approx(res.value, rel=1e-12)
+        assert res.potentials.feasibility_violation(C) <= tolerance.of(C)
+    assert calls == []
 
 
 # -- metric and stability properties -----------------------------------------

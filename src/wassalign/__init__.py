@@ -14,7 +14,7 @@ from wassalign.measures import (
     stiefel_validate,
     whiten,
 )
-from wassalign.lp import LpSolution, LpSolverError, LpStatus, TransportLp, solve_lp
+from wassalign.lp import LpSolution, LpSolverError, TransportLp, solve_lp
 from wassalign.ot import (
     OtResult,
     PotentialPair,

@@ -1,6 +1,8 @@
 """Command-line surface: align, ot, mixture-demo.
 
-Exit codes: 0 success, 1 input error, 2 solver failure.
+Exit codes: 0 success, 1 input error, 2 solver failure.  The commands
+raise; `main` alone maps OSError and ValueError to an `error:` line and
+exit code 1, and LpSolverError to a `solver failure:` line and exit code 2.
 Diagnostics go to stderr; results land in the files named by --out and
 friends, with a short summary on stdout.
 """
@@ -75,50 +77,35 @@ def _apply_penalties(fam: TransformFamily, path: str) -> TransformFamily:
 
 def cmd_align(args) -> int:
     t_start = time.perf_counter()
-    try:
-        mu = _load_measure(args.mu)
-        nu = _load_measure(args.nu)
-        if args.whiten:
-            mu, nu = whiten(mu), whiten(nu)
-        fam = parse_family(args.family, mu.dim, nu.dim)
-        if args.penalty:
-            fam = _apply_penalties(fam, args.penalty)
-        cost = parse_cost(args.cost)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    mu = _load_measure(args.mu)
+    nu = _load_measure(args.nu)
+    if args.whiten:
+        mu, nu = whiten(mu), whiten(nu)
+    fam = parse_family(args.family, mu.dim, nu.dim)
+    if args.penalty:
+        fam = _apply_penalties(fam, args.penalty)
+    cost = parse_cost(args.cost)
     t_loaded = time.perf_counter()
 
-    try:
-        report = align(mu, nu, fam, cost)
-        worst_identity = identity_residuals(report, mu, nu, fam, cost).max()
-    except ValueError as exc:  # such as costs that overflow a double
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except LpSolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
+    report = align(mu, nu, fam, cost)
+    worst_identity = identity_residuals(report, mu, nu, fam, cost).max()
     t_solved = time.perf_counter()
 
-    try:
-        timings = {
-            "load": 1e3 * (t_loaded - t_start),
-            "solve": 1e3 * (t_solved - t_loaded),
-            "total": 1e3 * (time.perf_counter() - t_start),
-        }
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_report_json(report, timings))
-        if args.svg:
-            pushed = fam[report.theta_star].apply(mu.points)
-            write_scatter_svg(args.svg, nu.points, pushed)
-        if args.curve:
-            rows = np.column_stack(
-                [np.arange(len(fam)), report.per_theta, report.gap_curve]
-            )
-            write_matrix_csv(args.curve, rows, header=["index", "objective", "gap"])
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    timings = {
+        "load": 1e3 * (t_loaded - t_start),
+        "solve": 1e3 * (t_solved - t_loaded),
+        "total": 1e3 * (time.perf_counter() - t_start),
+    }
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(_report_json(report, timings))
+    if args.svg:
+        pushed = fam[report.theta_star].apply(mu.points)
+        write_scatter_svg(args.svg, nu.points, pushed)
+    if args.curve:
+        rows = np.column_stack(
+            [np.arange(len(fam)), report.per_theta, report.gap_curve]
+        )
+        write_matrix_csv(args.curve, rows, header=["index", "objective", "gap"])
     print(
         f"value={report.value:.12g} thetaStar={report.theta_star} "
         f"({report.theta_star_label}) gap-identity-residual={worst_identity:.2e}"
@@ -127,32 +114,21 @@ def cmd_align(args) -> int:
 
 
 def cmd_ot(args) -> int:
-    try:
-        mu = _load_measure(args.mu)
-        nu = _load_measure(args.nu)
-        with np.errstate(over="ignore", invalid="ignore"):  # wasserstein refuses a non-finite C
-            C = pairwise_cost(mu.points, nu.points, parse_cost(args.cost))
-        res = wasserstein(mu.weights, nu.weights, C)
-    except (OSError, ValueError) as exc:  # ValueError also for costs that overflow
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except LpSolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    try:
-        write_matrix_csv(f"{args.out}.plan.csv", res.plan.matrix)
-        # long format: one potential per row, phi entries first
-        side = np.concatenate([np.zeros(mu.size), np.ones(nu.size)])
-        index = np.concatenate([np.arange(mu.size), np.arange(nu.size)])
-        vals = np.concatenate([res.potentials.phi, res.potentials.psi])
-        write_matrix_csv(
-            f"{args.out}.potentials.csv",
-            np.column_stack([side, index, vals]),
-            header=["side(0=phi;1=psi)", "index", "value"],
-        )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    mu = _load_measure(args.mu)
+    nu = _load_measure(args.nu)
+    with np.errstate(over="ignore", invalid="ignore"):  # wasserstein refuses a non-finite C
+        C = pairwise_cost(mu.points, nu.points, parse_cost(args.cost))
+    res = wasserstein(mu.weights, nu.weights, C)
+    write_matrix_csv(f"{args.out}.plan.csv", res.plan.matrix)
+    # long format: one potential per row, phi entries first
+    side = np.concatenate([np.zeros(mu.size), np.ones(nu.size)])
+    index = np.concatenate([np.arange(mu.size), np.arange(nu.size)])
+    vals = np.concatenate([res.potentials.phi, res.potentials.psi])
+    write_matrix_csv(
+        f"{args.out}.potentials.csv",
+        np.column_stack([side, index, vals]),
+        header=["side(0=phi;1=psi)", "index", "value"],
+    )
     print(f"value={res.value:.12g}")
     return EXIT_OK
 
@@ -165,32 +141,21 @@ def cmd_mixture_demo(args) -> int:
             file=sys.stderr,
         )
     t_start = time.perf_counter()
-    try:
-        report = mixture_demo(tuple(args.a), args.samples, args.seed, args.grid)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except LpSolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return EXIT_SOLVER
-    try:
-        timings = {"total": 1e3 * (time.perf_counter() - t_start)}
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(_report_json(report, timings))
-        curve_path = args.curve or f"{args.out}.F.csv"
-        grid = np.linspace(-8.0, 8.0, 2001)
-        cols = [grid]
-        cs = (0.0, 0.5, 1.0, 2.0)
-        for c in cs:
-            cols.append(np.array([mixture_F(c, float(t)) for t in grid]))
-        write_matrix_csv(
-            curve_path,
-            np.column_stack(cols),
-            header=["t"] + [f"F_c{c:g}" for c in cs],
-        )
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    report = mixture_demo(tuple(args.a), args.samples, args.seed, args.grid)
+    timings = {"total": 1e3 * (time.perf_counter() - t_start)}
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(_report_json(report, timings))
+    curve_path = args.curve or f"{args.out}.F.csv"
+    grid = np.linspace(-8.0, 8.0, 2001)
+    cols = [grid]
+    cs = (0.0, 0.5, 1.0, 2.0)
+    for c in cs:
+        cols.append(np.array([mixture_F(c, float(t)) for t in grid]))
+    write_matrix_csv(
+        curve_path,
+        np.column_stack(cols),
+        header=["t"] + [f"F_c{c:g}" for c in cs],
+    )
     print(f"value={report.value:.12g} thetaStar={report.theta_star_label}")
     return EXIT_OK
 
@@ -234,7 +199,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except LpSolverError as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
 
 
 if __name__ == "__main__":

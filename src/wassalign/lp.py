@@ -5,15 +5,16 @@ sums the cells of source i to p_i and row N + j those of target j to q_j.
 Column i*M + j is cell (i, j).  Once the totals balance the last target row
 is implied by the others, so a basis is N + M - 1 cells that form a
 spanning tree of the sources and targets (Dantzig's u-v method).  The LP is
-infeasible exactly when the totals differ by more than REL * max|b|; then
-no simplex runs.  Otherwise the simplex starts from the north-west-corner
-`staircase` of (p, q).  Every pivot walks the tree from the last target:
-the walk gives the potentials (0 at the last target, y_i + y_(N+j) = C_ij
-on every tree cell), Dantzig pricing picks the entering cell, and its cycle
-is the tree path between its source and its target.  The leaving cell is
+feasible: `TransportLp` refuses totals that differ by more than REL * max|b|.
+The simplex starts from the north-west-corner `staircase` of (p, q).  Every
+pivot walks the tree from the last target: the walk gives the potentials
+(0 at the last target, y_i + y_(N+j) = C_ij on every tree cell), Dantzig
+pricing picks the entering cell, and its cycle is the tree path between
+its source and its target.  The leaving cell is
 the cycle cell of least flow among those that lose mass, and the flows
 change by exactly that flow, so none goes negative.  Bland's rule takes
-over after BLAND_AFTER * (N + M - 1 + N * M) pivots, against cycling.
+over after BLAND_AFTER * (N + M - 1 + N * M) pivots, against cycling, and
+`LpSolverError` ends a solve past MAX_ITERATIONS pivots.
 
 Warm start: every optimal solve returns its final basis (`LpSolution.basis`),
 and `solve_lp(..., start=basis)` begins from it in place of the staircase
@@ -27,7 +28,6 @@ on the units of C or of the weights.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +38,6 @@ __all__ = [
     "TransportLp",
     "LpSolution",
     "LpSolverError",
-    "LpStatus",
     "solve_lp",
     "staircase",
 ]
@@ -47,21 +46,16 @@ MAX_ITERATIONS = 500_000
 BLAND_AFTER = 5  # Bland's rule after BLAND_AFTER * (N + M - 1 + N * M) pivots
 
 
-class LpStatus(enum.Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    FAILED = "failed"  # the iteration limit, distinct from infeasible
-
-
 class LpSolverError(RuntimeError):
-    """Raised by callers when a solve does not end in a usable status."""
+    """A solve that ends without a certified optimum."""
 
 
 @dataclass(frozen=True, eq=False)
 class TransportLp:
     """min C.x over x >= 0 with row sums p and column sums q of x.
 
-    p and q are nonnegative; unequal totals make the LP infeasible.
+    Raises ValueError on shapes that do not match, a non-finite entry, a
+    negative weight, or totals of p and q that differ by more than REL * max|b|.
     """
 
     cost: np.ndarray  # (N, M)
@@ -80,6 +74,8 @@ class TransportLp:
             raise ValueError("non-finite cost or weight")
         if np.any(p < 0) or np.any(q < 0):
             raise ValueError("negative weight")
+        if abs(p.sum() - q.sum()) > tolerance.of(p, q):
+            raise ValueError("the totals of p and q differ")
         object.__setattr__(self, "cost", C)
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
@@ -92,18 +88,16 @@ class TransportLp:
         return np.concatenate([self.p, self.q])
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LpSolution:
-    """Solver output; the arrays are None unless status is OPTIMAL."""
+    """An optimal vertex of a transport LP and its row duals."""
 
-    status: LpStatus
-    flow: np.ndarray | None = None  # the mass of each basis cell; other cells are empty
-    dual_rows: np.ndarray | None = None  # one multiplier per row, 0 on the last
-    objective: float | None = None
-    iterations: int = 0
-    message: str = ""
+    flow: np.ndarray  # the mass of each basis cell; other cells are empty
+    dual_rows: np.ndarray  # one multiplier per row, 0 on the last
+    objective: float
+    iterations: int
     # optimal basis as N + M - 1 cell indices, for solve_lp(start=...)
-    basis: np.ndarray | None = None
+    basis: np.ndarray
 
 
 def staircase(p, q):
@@ -152,8 +146,6 @@ class _Simplex:
         self.c = prob.cost.ravel()
         # basis and flow are set by start_from or from the staircase
         self.iterations = 0
-        # primal values: feasibility and the balance of the totals
-        self.feas_tol = tolerance.of(prob.p, prob.q)
 
     def _walk(self, basis):
         """Breadth-first walk of the basis cells from the last target.
@@ -180,7 +172,7 @@ class _Simplex:
 
     def start_from(self, basis) -> bool:
         """Adopt a start basis if its cells form a spanning tree whose flows,
-        taken by leaf elimination, are all at least -feas_tol; otherwise
+        taken by leaf elimination, are all at least -REL * max|b|; otherwise
         change nothing."""
         basis = np.asarray(basis)
         if basis.shape != (self.N + self.M - 1,) or not np.issubdtype(basis.dtype, np.integer):
@@ -196,14 +188,14 @@ class _Simplex:
         for v in reversed(order[1:]):
             flow[up[v]] = rest[v]
             rest[parent[v]] -= rest[v]
-        if min(flow) < -self.feas_tol:
+        if min(flow) < -tolerance.of(self.b):
             return False
         self.basis = basis.astype(np.int64)
         self.flow = np.maximum(flow, 0.0)
         return True
 
-    def run(self, bland_after: int) -> str:
-        """Pivot to an optimal tree; returns a status string."""
+    def run(self, bland_after: int) -> None:
+        """Pivot to an optimal tree; raises LpSolverError past MAX_ITERATIONS pivots."""
         N, M = self.N, self.M
         dtol = tolerance.of(self.c)
         while True:
@@ -214,12 +206,12 @@ class _Simplex:
                 y[v] = c_B[up[v]] - y[parent[v]]
             self.y = np.array(y)
             if self.iterations > MAX_ITERATIONS:
-                return "failed: iteration limit"
+                raise LpSolverError(f"transport LP: no optimum after {MAX_ITERATIONS} pivots")
             d = self.c - (self.y[:N, None] + self.y[None, N:]).ravel()
             d[self.basis] = np.inf
             neg = np.flatnonzero(d < -dtol)
             if neg.size == 0:
-                return "optimal"
+                return
             # Bland: the lowest index; Dantzig: the most negative reduced cost
             bland = self.iterations >= bland_after
             e = int(neg[0]) if bland else int(np.argmin(d))
@@ -250,28 +242,17 @@ class _Simplex:
 def solve_lp(prob: TransportLp, start=None) -> LpSolution:
     """Solve a transport LP exactly.
 
-    INFEASIBLE when the totals of p and q differ by more than REL * max|b|.
     start: the `basis` of an earlier optimal solution, typically of a
     problem with the same p and q and another cost; the simplex starts from
     it when its cells form a spanning tree with feasible flows, and from the
     north-west-corner staircase of (p, q) otherwise.  Solutions are
-    deterministic for a fixed input and start.
+    deterministic for a fixed input and start.  Raises LpSolverError when
+    MAX_ITERATIONS pivots reach no optimum.
     """
     sx = _Simplex(prob)
-    if abs(prob.p.sum() - prob.q.sum()) > sx.feas_tol:
-        return LpSolution(LpStatus.INFEASIBLE, message="the totals of p and q differ")
     if start is None or not sx.start_from(start):
         ii, jj, mass = staircase(prob.p, prob.q)
         sx.basis, sx.flow = ii * sx.M + jj, mass
 
-    status = sx.run(bland_after=BLAND_AFTER * (sx.N + sx.M - 1 + sx.c.size))
-    if status.startswith("failed"):
-        return LpSolution(LpStatus.FAILED, iterations=sx.iterations, message=status)
-    return LpSolution(
-        LpStatus.OPTIMAL,
-        flow=sx.flow,
-        dual_rows=sx.y,
-        objective=float(sx.c[sx.basis] @ sx.flow),
-        iterations=sx.iterations,
-        basis=sx.basis,
-    )
+    sx.run(bland_after=BLAND_AFTER * (sx.N + sx.M - 1 + sx.c.size))
+    return LpSolution(sx.flow, sx.y, float(sx.c[sx.basis] @ sx.flow), sx.iterations, sx.basis)

@@ -184,13 +184,18 @@ class FamilyEntry:
         object.__setattr__(self, "penalty", float(self.penalty))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
-        """Map an (n_pts, n) array of points to (n_pts, d)."""
+        """Map an (n_pts, n) array of points to (n_pts, d); raises ValueError
+        when an image overflows a double."""
         pts = np.asarray(points, dtype=float)
         if pts.shape[1] != self.matrix.shape[1]:
             raise ValueError(
                 f"points have dimension {pts.shape[1]}, map expects {self.matrix.shape[1]}"
             )
-        return pts @ self.matrix.T + self.offset
+        with np.errstate(over="ignore", invalid="ignore"):
+            image = pts @ self.matrix.T + self.offset
+        if not np.all(np.isfinite(image)):
+            raise ValueError(f"{self.label}: non-finite image")
+        return image
 
 
 @dataclass(frozen=True)

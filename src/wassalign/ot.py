@@ -18,7 +18,8 @@ by the Monge property (`_staircase_row_min`); the divide and conquer is
 its fallback.  Both solvers return their
 plan as its support (`TransportPlan`), the N + M - 1 cells of the optimal
 basis or of the staircase, and check and renormalize their weights by
-`measures.probability_vector`.
+`measures.probability_vector`.  Input they refuse raises ValueError; a
+solve that ends without a certified optimum raises `LpSolverError`.
 
 Transforms follow the asymmetric convention
     cbar_transform(psi)[i] = min_j (C[i, j] - psi[j])   (potential on sources)
@@ -32,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from wassalign import tolerance
-from wassalign.lp import LpSolverError, LpStatus, TransportLp, solve_lp, staircase
+from wassalign.lp import LpSolverError, TransportLp, solve_lp, staircase
 from wassalign.measures import probability_vector
 
 __all__ = [
@@ -171,12 +172,10 @@ def wasserstein(p, q, C, start=None) -> OtResult:
     Raises:
         ValueError: p or q is not a probability vector, or the shapes of p,
             q and C do not match, or C is not finite.
-        LpSolverError: the inner LP solve did not return an optimal status.
+        LpSolverError: the transport LP found no optimum (`solve_lp`).
     """
     prob = TransportLp(C, probability_vector(p, "p"), probability_vector(q, "q"))
     sol = solve_lp(prob, start=start)
-    if sol.status is not LpStatus.OPTIMAL:
-        raise LpSolverError(f"transport LP ended with status {sol.status.value}: {sol.message}")
     rows, cols = np.divmod(sol.basis, prob.q.size)
     plan = TransportPlan(rows, cols, sol.flow, prob.cost.shape)
     psi = sol.dual_rows[prob.p.size :]
@@ -342,13 +341,16 @@ def wasserstein_1d(y, p, z, q, power: float = 2.0) -> OtResult:
     conquer of `_monge_row_min`.  The
     certificate is the duality gap between that dual pair and the primal
     value, checked against the tolerance of the largest cost, which the
-    result keeps as largest_cost; a failed check, or a NaN or infinite
-    point, raises ArithmeticError, and a largest cost that overflows raises
-    ValueError, as `wasserstein` does.
+    result keeps as largest_cost.
 
     The plan is the staircase's N + M - 1 cells.  Cost: O((N + M) log(N + M))
     -- the sorts, the staircase, and the cbar-transform -- and no N x M
     matrix.
+
+    Raises:
+        ValueError: p or q is not a probability vector, a length mismatch,
+            power < 1, a NaN or infinite point, or a cost that overflows.
+        LpSolverError: the duality gap fails its check.
     """
     y = np.asarray(y, dtype=float).ravel()
     z = np.asarray(z, dtype=float).ravel()
@@ -358,7 +360,7 @@ def wasserstein_1d(y, p, z, q, power: float = 2.0) -> OtResult:
     if y.shape != p.shape or z.shape != q.shape:
         raise ValueError("points and weights length mismatch")
     if not (np.all(np.isfinite(y)) and np.all(np.isfinite(z))):
-        raise ArithmeticError("1-d potentials cannot be verified on a NaN or infinite point")
+        raise ValueError("non-finite point")
 
     order_y = np.argsort(y, kind="stable")
     order_z = np.argsort(z, kind="stable")
@@ -379,10 +381,7 @@ def wasserstein_1d(y, p, z, q, power: float = 2.0) -> OtResult:
         phi_s = _monge_row_min(y_s, z_s, psi_s, power)
     gap = abs(float(phi_s @ p_s + psi_s @ q_s) - value)
     if not gap <= tolerance.of(largest_cost):
-        raise ArithmeticError(
-            f"1-d potentials failed verification (gap {gap:.3e}); "
-            "cost may not be convex on this data"
-        )
+        raise LpSolverError(f"quantile coupling: duality gap {gap:.3e} fails its check")
 
     phi = np.empty(N)
     psi = np.empty(M)

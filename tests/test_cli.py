@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 import wassalign.crosscheck
+import wassalign.lp
+import wassalign.ot
 from wassalign.alignment import align, identity_residuals
 from wassalign.cli import main
 from wassalign.dataio import parse_cost, parse_family, read_points_csv
+from wassalign.lp import LpSolverError
 from wassalign.measures import new_measure, rotation_grid
 
 REPORT_KEYS = {"value", "thetaStar", "iCurve", "gapCurve", "psi", "planNnz", "timingsMs"}
@@ -132,24 +135,42 @@ def test_align_bad_family_spec(tmp_path, cloud_pair, capsys):
     assert "family" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("command", ["align-plane", "align-line", "ot"])
-def test_overflowing_costs_are_one_error_line(tmp_path, capsys, command):
-    # at 1e160 the squared distances overflow a double: every route refuses
-    # the non-finite cost, and the CLI reports it as an input error with no
-    # numpy warning on the way
+OVERFLOW_MESSAGES = {
+    "align-plane": "non-finite cost",
+    "align-line": "non-finite cost",
+    "ot": "non-finite cost",
+    "align-plane-image": "map_0: non-finite image",
+    "align-line-image": "map_0: non-finite image",
+}
+
+
+@pytest.mark.parametrize("command, message", OVERFLOW_MESSAGES.items(), ids=list(OVERFLOW_MESSAGES))
+def test_overflowing_costs_are_one_error_line(tmp_path, capsys, command, message):
+    # at 1e160 the squared distances overflow a double, and near 1e308 the
+    # image x -> M x does: every route refuses the non-finite cost or image,
+    # and the CLI reports it as an input error with no numpy warning on the way
     rng = np.random.default_rng(21)
     mu, nu, maps = tmp_path / "mu.csv", tmp_path / "nu.csv", tmp_path / "maps.csv"
-    target_dim = 1 if command == "align-line" else 2
-    write_cloud(mu, rng.normal(size=(8, 2)) * 1e160)
-    write_cloud(nu, rng.normal(size=(6, target_dim)) * 1e160)
-    write_cloud(maps, [(1.0, 0.0), (0.0, 1.0)])
-    family = {"align-plane": "rotations2d:4", "align-line": f"matrices:{maps}"}
+    target_dim = 1 if command.startswith("align-line") else 2
+    if command.endswith("-image"):
+        write_cloud(mu, [(1e308, 1e308), (-1e308, 5e307), (0.0, 1.0)])
+        write_cloud(nu, np.arange(3.0 * target_dim).reshape(3, target_dim))
+        # x1 + x2 overflows on the first point, in a line map and in a plane map
+        rows = [(1.0, 1.0), (1.0, -1.0)]
+        if target_dim == 2:
+            rows = [(1.0, 1.0, 1.0, -1.0), (1.0, 0.0, 0.0, 1.0)]  # [[1, 1], [1, -1]] and I
+    else:
+        write_cloud(mu, rng.normal(size=(8, 2)) * 1e160)
+        write_cloud(nu, rng.normal(size=(6, target_dim)) * 1e160)
+        rows = [(1.0, 0.0), (0.0, 1.0)]
+    write_cloud(maps, rows)
+    family = "rotations2d:4" if command == "align-plane" else f"matrices:{maps}"
     if command == "ot":
         argv = ["ot", "--mu", str(mu), "--nu", str(nu), "--out", str(tmp_path / "o")]
     else:
         argv = [
             "align", "--mu", str(mu), "--nu", str(nu),
-            "--family", family[command], "--out", str(tmp_path / "r.json"),
+            "--family", family, "--out", str(tmp_path / "r.json"),
         ]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -158,8 +179,49 @@ def test_overflowing_costs_are_one_error_line(tmp_path, capsys, command):
     errors = [ln for ln in err.splitlines() if ln.startswith("error:")]
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert rc == 1
-    assert len(errors) == 1 and "non-finite cost" in errors[0]
+    assert len(errors) == 1 and message in errors[0]
     assert "Traceback" not in err
+
+
+def _hit_the_iteration_limit(monkeypatch):
+    monkeypatch.setattr(wassalign.lp, "MAX_ITERATIONS", 0)
+
+
+def _fail_the_quantile_certificate(monkeypatch):
+    # the windows' row minima less 1 leave a duality gap of 1
+    row_min = wassalign.ot._staircase_row_min
+    monkeypatch.setattr(wassalign.ot, "_staircase_row_min", lambda *args: row_min(*args) - 1.0)
+
+
+@pytest.mark.parametrize(
+    "target_dim, fail, match",
+    [
+        pytest.param(2, _hit_the_iteration_limit, "pivots", id="iteration-limit"),
+        pytest.param(1, _fail_the_quantile_certificate, "duality gap", id="quantile-certificate"),
+    ],
+)
+def test_solver_failure_is_exit_code_2(tmp_path, capsys, monkeypatch, target_dim, fail, match):
+    # a solve that ends without a certified optimum raises LpSolverError in
+    # the library; the CLI reports it as one line and exit code 2
+    rng = np.random.default_rng(23)
+    x, z = rng.normal(size=(10, 2)), rng.normal(size=(8, target_dim))
+    mu, nu, maps = tmp_path / "mu.csv", tmp_path / "nu.csv", tmp_path / "maps.csv"
+    write_cloud(mu, x)
+    write_cloud(nu, z)
+    write_cloud(maps, [(1.0, 0.0), (0.0, 1.0)])
+    family = "rotations2d:4" if target_dim == 2 else f"matrices:{maps}"
+    fail(monkeypatch)
+    fam, cost = parse_family(family, 2, target_dim), parse_cost("sq-euclidean")
+    with pytest.raises(LpSolverError, match=match):
+        align(new_measure(x), new_measure(z), fam, cost)
+    rc = main([
+        "align", "--mu", str(mu), "--nu", str(nu),
+        "--family", family, "--out", str(tmp_path / "r.json"),
+    ])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 2
+    assert len(lines) == 1 and lines[0].startswith("solver failure:") and match in lines[0]
+    assert not (tmp_path / "r.json").exists()
 
 
 def test_align_matrix_family_with_penalties(tmp_path):

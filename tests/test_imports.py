@@ -65,6 +65,19 @@ def test_only_crosscheck_touches_scipy_or_the_cost_tensor():
     assert found == set()
 
 
+def test_cli_handles_errors_only_in_main():
+    # the commands raise; main alone maps the errors to exit codes
+    path = importlib.import_module("wassalign.cli").__file__
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    main = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "main")
+
+    def tries(node):
+        return sorted(n.lineno for n in ast.walk(node) if isinstance(n, ast.Try))
+
+    assert tries(tree) == tries(main)
+
+
 def test_no_unused_imports():
     unused = []
     for name, tree in _library_trees():

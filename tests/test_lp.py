@@ -6,15 +6,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wassalign import lp, tolerance
-from wassalign.lp import LpStatus, TransportLp, solve_lp, staircase
+from wassalign.lp import TransportLp, solve_lp, staircase
 from wassalign.measures import CostSpec, pairwise_cost, rotation_grid
 from wassalign.tolerance import MARGINAL_TOL
 
 
 def check_solution(prob: TransportLp, sol) -> dict:
-    """Residuals of an OPTIMAL solution: primal/dual feasibility and gap."""
-    if sol.status is not LpStatus.OPTIMAL:
-        raise ValueError("check_solution expects an optimal solution")
+    """Residuals of a solution: primal/dual feasibility and gap."""
     N, M = prob.cost.shape
     x, y = np.zeros(N * M), sol.dual_rows
     np.add.at(x, sol.basis, sol.flow)
@@ -68,7 +66,8 @@ def _enumerate_vertices(prob):
 
 def test_single_variable_infeasible():
     # one cell cannot carry 1 out of the source and 2 into the target
-    assert solve_lp(TransportLp([[1.0]], [1.0], [2.0])).status is LpStatus.INFEASIBLE
+    with pytest.raises(ValueError, match="totals"):
+        TransportLp([[1.0]], [1.0], [2.0])
 
 
 def test_redundant_equality_rows():
@@ -78,7 +77,6 @@ def test_redundant_equality_rows():
     for N, M in [(1, 1), (1, 4), (3, 1), (3, 4)]:
         prob = _random_transport_lp(rng, N, M)
         sol = solve_lp(prob)
-        assert sol.status is LpStatus.OPTIMAL
         assert sol.basis.shape == (N + M - 1,)
         assert sol.basis.max() < N * M
         assert sol.dual_rows.shape == (N + M,) and sol.dual_rows[-1] == 0.0
@@ -113,7 +111,6 @@ def test_random_lp_matches_vertex_enumeration(uniform):
     # uniform weights make many vertices degenerate
     for prob in _tiny_lps(uniform):
         sol = solve_lp(prob)
-        assert sol.status is LpStatus.OPTIMAL
         assert sol.objective == pytest.approx(_enumerate_vertices(prob), abs=1e-9)
 
 
@@ -128,7 +125,6 @@ def test_ratio_test_leaves_no_basic_value_negative():
     x, z = rng.normal(size=(N, 2)), rng.normal(size=(M, 2))
     prob = TransportLp(pairwise_cost(x, z, CostSpec.squared_euclidean()), p / p.sum(), q / q.sum())
     sol = solve_lp(prob)
-    assert sol.status is LpStatus.OPTIMAL
     assert sol.flow.min() >= 0.0
     assert check_solution(prob, sol)["primal_infeasibility"] <= 1e-15
 
@@ -147,7 +143,6 @@ def test_transport_lp_validates_its_data():
 def test_strong_duality_and_complementary_slackness():
     for prob in _small_lps():
         sol = solve_lp(prob)
-        assert sol.status is LpStatus.OPTIMAL
         res = check_solution(prob, sol)
         assert res["primal_infeasibility"] <= 1e-8
         assert res["dual_infeasibility"] <= 1e-7
@@ -161,7 +156,6 @@ def test_objective_scaling_leaves_primal_unchanged():
         p1 = _random_transport_lp(rng, 5, 4)
         p2 = TransportLp(2.0 * p1.cost, p1.p, p1.q)
         s1, s2 = solve_lp(p1), solve_lp(p2)
-        assert s1.status is LpStatus.OPTIMAL and s2.status is LpStatus.OPTIMAL
         np.testing.assert_array_equal(s1.basis, s2.basis)
         np.testing.assert_array_equal(s1.flow, s2.flow)
         assert s2.objective == pytest.approx(2.0 * s1.objective, rel=1e-12)
@@ -169,20 +163,19 @@ def test_objective_scaling_leaves_primal_unchanged():
 
 @pytest.mark.parametrize("s", [1e-10, 1e10])
 def test_rhs_scaling_scales_the_primal(s):
-    # p and q scaled by s scale the feasible set by s: the status is the
-    # same, and the primal and the objective scale by s
+    # p and q scaled by s scale the feasible set by s: the primal and the
+    # objective scale by s
     rng = np.random.default_rng(11)
     for _ in range(6):
         p1 = _random_transport_lp(rng, 5, 4)
         p2 = TransportLp(p1.cost, s * p1.p, s * p1.q)
         s1, s2 = solve_lp(p1), solve_lp(p2)
-        assert s2.status is s1.status is LpStatus.OPTIMAL
         np.testing.assert_array_equal(s2.basis, s1.basis)
         np.testing.assert_allclose(s2.flow / s, s1.flow, rtol=1e-9, atol=1e-12)
         assert s2.objective / s == pytest.approx(s1.objective, rel=1e-9)
-    # a total of s out of the sources and 2 s into the targets: infeasible at every scale
-    prob = TransportLp(np.ones((2, 2)), [0.5 * s, 0.5 * s], [s, s])
-    assert solve_lp(prob).status is LpStatus.INFEASIBLE
+    # a total of s out of the sources and 2 s into the targets: refused at every scale
+    with pytest.raises(ValueError, match="totals"):
+        TransportLp(np.ones((2, 2)), [0.5 * s, 0.5 * s], [s, s])
 
 
 def test_deterministic_resolve():
@@ -309,7 +302,6 @@ def test_value_matches_highs(seed, N, M, kind, log_scale):
     C = 10.0**log_scale * rng.uniform(size=(N, M))
     prob = TransportLp(C, _weights(rng, N, kind), _weights(rng, M, kind))
     sol = solve_lp(prob)
-    assert sol.status is LpStatus.OPTIMAL
     # HiGHS's tolerances are absolute: pose it on unit-size costs, scale its value back
     size = np.abs(prob.cost).max()
     ref = linprog(
@@ -346,7 +338,6 @@ def test_warm_start_matches_cold_over_a_rotation_grid():
         prob = TransportLp(C, p, q)
         cold = solve_lp(prob)
         warm = solve_lp(prob, start=start)
-        assert cold.status is LpStatus.OPTIMAL and warm.status is LpStatus.OPTIMAL
         assert warm.objective == pytest.approx(cold.objective, rel=1e-12)
         res = check_solution(prob, warm)
         assert res["primal_infeasibility"] <= 1e-8
@@ -375,7 +366,6 @@ def test_start_infeasible_for_new_rhs_falls_back_to_the_staircase():
     cold, warm = solve_lp(prob), solve_lp(prob, start=start)
     # under q2 the q1 basis gives a negative flow (-0.65 on this instance),
     # the solve starts from the staircase, as the cold one does
-    assert warm.status is LpStatus.OPTIMAL
     assert warm.iterations == cold.iterations
     np.testing.assert_array_equal(warm.basis, cold.basis)
     np.testing.assert_array_equal(warm.flow, cold.flow)
@@ -396,7 +386,6 @@ def test_unusable_start_falls_back_to_the_staircase(kind):
         "repeated": np.zeros(N + M - 1, dtype=np.int64),
     }[kind]
     cold, warm = solve_lp(prob), solve_lp(prob, start=start)
-    assert warm.status is LpStatus.OPTIMAL
     assert warm.iterations == cold.iterations
     np.testing.assert_array_equal(warm.basis, cold.basis)
     np.testing.assert_array_equal(warm.flow, cold.flow)
@@ -410,7 +399,6 @@ def test_start_with_a_basic_artificial_at_zero_stays_feasible():
     prob = TransportLp(np.array([[0.0, 2.0], [2.0, 1.0]]), [0.5, 0.5], [0.5, 0.5])
     start = np.array([1, 2, 4])
     cold, warm = solve_lp(prob), solve_lp(prob, start=start)
-    assert warm.status is LpStatus.OPTIMAL
     assert cold.objective == 0.5
     assert warm.objective == cold.objective
     np.testing.assert_array_equal(warm.basis, cold.basis)
@@ -453,7 +441,6 @@ def test_blands_rule_alone_reaches_the_dantzig_optimum(monkeypatch):
     monkeypatch.setattr(lp, "BLAND_AFTER", 0)
     bland = solve_all()
     for prob, d, b in zip(probs + warm, dantzig, bland):
-        assert b.status is LpStatus.OPTIMAL
         assert abs(b.objective - d.objective) <= 1e-12 * abs(d.objective)
         N, M = prob.cost.shape
         assert _is_spanning_tree(*np.divmod(b.basis, M), N, M)

@@ -134,15 +134,16 @@ def cmd_ot(args) -> int:
 
 
 def cmd_mixture_demo(args) -> int:
+    t_start = time.perf_counter()
+    report = mixture_demo(tuple(args.a), args.samples, args.seed, args.grid)
+    timings = {"total": 1e3 * (time.perf_counter() - t_start)}
+    # after mixture_demo has checked the grid: refused input gets its error line alone
     if args.grid < 8:
         print(
             f"warning: grid of {args.grid} angles is coarse; "
             "the reported angle is only resolved to the grid step",
             file=sys.stderr,
         )
-    t_start = time.perf_counter()
-    report = mixture_demo(tuple(args.a), args.samples, args.seed, args.grid)
-    timings = {"total": 1e3 * (time.perf_counter() - t_start)}
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(_report_json(report, timings))
     curve_path = args.curve or f"{args.out}.F.csv"

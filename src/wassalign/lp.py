@@ -6,15 +6,27 @@ Column i*M + j is cell (i, j).  Once the totals balance the last target row
 is implied by the others, so a basis is N + M - 1 cells that form a
 spanning tree of the sources and targets (Dantzig's u-v method).  The LP is
 feasible: `TransportLp` refuses totals that differ by more than REL * max|b|.
-The simplex starts from the north-west-corner `staircase` of (p, q).  Every
-pivot walks the tree from the last target: the walk gives the potentials
-(0 at the last target, y_i + y_(N+j) = C_ij on every tree cell), Dantzig
+The simplex starts from the north-west-corner `staircase` of (p, q).  One
+breadth-first walk of the tree from the last target gives every node's
+parent, depth and potential (0 at the last target, y_i + y_(N+j) = C_ij on
+every tree cell), and the solve keeps them from pivot to pivot.  Dantzig
 pricing picks the entering cell, and its cycle is the tree path between
-its source and its target.  The leaving cell is
-the cycle cell of least flow among those that lose mass, and the flows
-change by exactly that flow, so none goes negative.  Bland's rule takes
-over after BLAND_AFTER * (N + M - 1 + N * M) pivots, against cycling, and
-`LpSolverError` ends a solve past MAX_ITERATIONS pivots.
+its source and its target.  The leaving cell is the cycle cell of least
+flow among those that lose mass, and the flows change by exactly that
+flow, so none goes negative.  The leaving cell cuts a subtree off the
+tree; the pivot hangs it from the entering cell and gives new depths and
+potentials to its nodes alone, by the walk's own formula, so the
+potentials equal a fresh walk's bit for bit.  Bland's rule takes over
+after BLAND_AFTER * (N + M - 1 + N * M) pivots, against cycling, and
+`LpSolverError` ends a solve past MAX_ITERATIONS pivots or at a
+non-finite reduced cost.
+
+The simplex pivots on C scaled by a power of two into [-1, 1], which is
+exact (bar costs below 2^-1022 times the largest, which turn subnormal),
+so no potential or reduced cost overflows, and it scales the potentials
+back by the same power.  Potentials past the largest double are first
+shifted, phi + t and psi - t, and ValueError names the size of a cost for
+which no shift fits.
 
 Warm start: every optimal solve returns its final basis (`LpSolution.basis`),
 and `solve_lp(..., start=basis)` begins from it in place of the staircase
@@ -93,7 +105,7 @@ class LpSolution:
     """An optimal vertex of a transport LP and its row duals."""
 
     flow: np.ndarray  # the mass of each basis cell; other cells are empty
-    dual_rows: np.ndarray  # one multiplier per row, 0 on the last
+    dual_rows: np.ndarray  # one multiplier per row, 0 on the last unless shifted to fit
     objective: float
     iterations: int
     # optimal basis as N + M - 1 cell indices, for solve_lp(start=...)
@@ -130,113 +142,171 @@ def staircase(p, q):
 
 
 # ---------------------------------------------------------------------------
-# the simplex on a spanning tree
+# the simplex on a spanning tree: nodes 0..N-1 are the sources, N..N+M-1 the
+# targets, and basis cell (i, j) at position r is the edge between i and
+# N + j, with mass flow[r]
 # ---------------------------------------------------------------------------
 
 
-class _Simplex:
-    """The transport simplex on a basis held as a spanning tree: nodes 0..N-1
-    are the sources, N..N+M-1 the targets, and basis cell (i, j) at position
-    r is the edge between i and N + j with mass flow[r]."""
+def _walk(basis, N, M):
+    """Breadth-first walk of the basis cells from the last target.
 
-    def __init__(self, prob: TransportLp):
-        N, M = prob.cost.shape
-        self.N, self.M = N, M
-        self.b = prob.rhs()
-        self.c = prob.cost.ravel()
-        # basis and flow are set by start_from or from the staircase
-        self.iterations = 0
+    Returns the tree as (adj, parent, up, depth, order): every node's map
+    {neighbour: basis position of the cell between them}, its parent, the
+    basis position of the cell to its parent, its depth, and the visit
+    order.  None when the cells leave a node unreached, which for
+    N + M - 1 cells means they are no tree.
+    """
+    n = N + M
+    adj = [{} for _ in range(n)]
+    rows, cols = np.divmod(basis, M)
+    for r, (i, j) in enumerate(zip(rows.tolist(), (cols + N).tolist())):
+        adj[i][j] = r
+        adj[j][i] = r
+    parent, up, depth = [-1] * n, [-1] * n, [0] * n
+    parent[-1] = n - 1
+    order = [n - 1]
+    for v in order:
+        for w, r in adj[v].items():
+            if parent[w] < 0:
+                parent[w], up[w], depth[w] = v, r, depth[v] + 1
+                order.append(w)
+    return (adj, parent, up, depth, order) if len(order) == n else None
 
-    def _walk(self, basis):
-        """Breadth-first walk of the basis cells from the last target.
 
-        Returns every node's parent, the basis position of the cell to its
-        parent, its depth, and the visit order; None when the cells leave a
-        node unreached, which for N + M - 1 cells means they are no tree.
-        """
-        n = self.N + self.M
-        adj = [[] for _ in range(n)]
-        rows, cols = np.divmod(basis, self.M)
-        for r, (i, j) in enumerate(zip(rows.tolist(), (cols + self.N).tolist())):
-            adj[i].append((j, r))
-            adj[j].append((i, r))
-        parent, up, depth = [-1] * n, [-1] * n, [0] * n
-        parent[-1] = n - 1
-        order = [n - 1]
-        for v in order:
-            for w, r in adj[v]:
-                if parent[w] < 0:
-                    parent[w], up[w], depth[w] = v, r, depth[v] + 1
-                    order.append(w)
-        return (parent, up, depth, order) if len(order) == n else None
+def _start_from(basis, N, M, b):
+    """(basis, flow, tree) of a start basis whose cells form a spanning tree
+    with flows, taken by leaf elimination, of at least -REL * max|b|; None
+    for any other start."""
+    basis = np.asarray(basis)
+    if basis.shape != (N + M - 1,) or not np.issubdtype(basis.dtype, np.integer):
+        return None
+    if basis.min() < 0 or basis.max() >= N * M:
+        return None
+    tree = _walk(basis, N, M)
+    if tree is None:
+        return None
+    _, parent, up, _, order = tree
+    rest, flow = b.tolist(), [0.0] * basis.size
+    # leaves first: the cell to a node's parent carries what its subtree lacks
+    for v in reversed(order[1:]):
+        flow[up[v]] = rest[v]
+        rest[parent[v]] -= rest[v]
+    if min(flow) < -tolerance.of(b):
+        return None
+    return basis.astype(np.int64), np.maximum(flow, 0.0).tolist(), tree
 
-    def start_from(self, basis) -> bool:
-        """Adopt a start basis if its cells form a spanning tree whose flows,
-        taken by leaf elimination, are all at least -REL * max|b|; otherwise
-        change nothing."""
-        basis = np.asarray(basis)
-        if basis.shape != (self.N + self.M - 1,) or not np.issubdtype(basis.dtype, np.integer):
-            return False
-        if basis.min() < 0 or basis.max() >= self.c.size:
-            return False
-        tree = self._walk(basis)
-        if tree is None:
-            return False
-        parent, up, _, order = tree
-        rest, flow = self.b.tolist(), [0.0] * basis.size
-        # leaves first: the cell to a node's parent carries what its subtree lacks
-        for v in reversed(order[1:]):
-            flow[up[v]] = rest[v]
-            rest[parent[v]] -= rest[v]
-        if min(flow) < -tolerance.of(self.b):
-            return False
-        self.basis = basis.astype(np.int64)
-        self.flow = np.maximum(flow, 0.0)
-        return True
 
-    def run(self, bland_after: int) -> None:
-        """Pivot to an optimal tree; raises LpSolverError past MAX_ITERATIONS pivots."""
-        N, M = self.N, self.M
-        dtol = tolerance.of(self.c)
-        while True:
-            parent, up, depth, order = self._walk(self.basis)
-            # potentials: 0 at the last target, y_i + y_(N+j) = C_ij on every tree cell
-            c_B, y = self.c[self.basis].tolist(), [0.0] * (N + M)
-            for v in order[1:]:
-                y[v] = c_B[up[v]] - y[parent[v]]
-            self.y = np.array(y)
-            if self.iterations > MAX_ITERATIONS:
-                raise LpSolverError(f"transport LP: no optimum after {MAX_ITERATIONS} pivots")
-            d = self.c - (self.y[:N, None] + self.y[None, N:]).ravel()
-            d[self.basis] = np.inf
+def _pivot(c, N, M, basis, flow, tree, bland_after):
+    """Pivot basis (an array) and flow (a list), in place, to an optimal tree.
+
+    c is the cost, raveled.  The tree of `_walk` is kept across pivots: a
+    pivot re-hangs only the subtree that the leaving cell cuts off, and
+    gives new depths and potentials to that subtree alone, by the formula
+    of the walk, so they equal a fresh walk's bit for bit.  Returns the
+    potentials (0 at the last target, y_i + y_(N+j) = c_ij on every tree
+    cell) and the number of pivots.  Raises LpSolverError past
+    MAX_ITERATIONS pivots or on a non-finite reduced cost.
+    """
+    adj, parent, up, depth, order = tree
+    c_B, y = c[basis].tolist(), [0.0] * (N + M)
+    for v in order[1:]:
+        y[v] = c_B[up[v]] - y[parent[v]]
+    d = np.empty_like(c)  # the reduced costs: one buffer, no N * M array per pivot
+    dtol = tolerance.of(c)
+    iterations = 0
+    while True:
+        if iterations > MAX_ITERATIONS:
+            raise LpSolverError(f"transport LP: no optimum after {MAX_ITERATIONS} pivots")
+        y_arr = np.array(y)
+        np.add(y_arr[:N, None], y_arr[None, N:], out=d.reshape(N, M))
+        np.subtract(c, d, out=d)
+        d[basis] = 0.0  # tree cells: exactly 0, never entering
+        bland = iterations >= bland_after
+        if bland:  # the lowest index
             neg = np.flatnonzero(d < -dtol)
-            if neg.size == 0:
-                return
-            # Bland: the lowest index; Dantzig: the most negative reduced cost
-            bland = self.iterations >= bland_after
-            e = int(neg[0]) if bland else int(np.argmin(d))
-            # the cycle: cell e, then the tree path from its target back to its
-            # source, whose cells lose and gain mass in turn (a cell loses when
-            # the path crosses it from a target to a source)
-            u, v = N + e % M, e // M
-            losing, gaining = [], []
-            while u != v:
-                if depth[u] >= depth[v]:
-                    (losing if u >= N else gaining).append(up[u])
-                    u = parent[u]
+            e = int(neg[0]) if neg.size else -1
+        else:  # Dantzig: the most negative reduced cost
+            e = int(np.argmin(d))
+            e = e if d[e] < -dtol else -1
+        if e < 0:
+            if not np.all(np.isfinite(d)):
+                raise LpSolverError("transport LP: non-finite reduced cost")
+            return y, iterations
+        # the cycle: cell e, then the tree path from its target back to its
+        # source, whose cells lose and gain mass in turn (a cell loses when
+        # the path crosses it from a target to a source).  A losing cell is
+        # named by the node below it, on the target's side or the source's
+        ends = (N + e % M, e // M)
+        u, v = ends
+        lose_u, lose_v, gaining = [], [], []
+        while u != v:
+            if depth[u] >= depth[v]:
+                if u >= N:
+                    lose_u.append(u)
                 else:
-                    (losing if v < N else gaining).append(up[v])
-                    v = parent[v]
-            losing = np.array(losing)
-            lost = self.flow[losing]
-            theta = lost.min()
-            tied = losing[lost == theta]
-            r = int(tied[np.argmin(self.basis[tied])] if bland else tied.min())
-            self.flow[losing] -= theta  # exactly theta: no flow goes negative
-            self.flow[gaining] += theta
-            self.flow[r] = theta
-            self.basis[r] = e
-            self.iterations += 1
+                    gaining.append(up[u])
+                u = parent[u]
+            else:
+                if v < N:
+                    lose_v.append(v)
+                else:
+                    gaining.append(up[v])
+                v = parent[v]
+        below = lose_u + lose_v
+        theta = min(flow[up[w]] for w in below)
+        tied = [w for w in below if flow[up[w]] == theta]
+        w = min(tied, key=(lambda v: basis[up[v]]) if bland else up.__getitem__)
+        r = up[w]
+        for v in below:
+            flow[up[v]] -= theta  # exactly theta: no flow goes negative
+        for pos in gaining:
+            flow[pos] += theta
+        flow[r] = theta
+        basis[r] = e
+        c_B[r] = float(c[e])
+        iterations += 1
+
+        # cell r leaves and cuts off w's subtree, which holds the end x of e;
+        # reversing the parents on the path from x up to w hangs x from e's
+        # other end through position r
+        x, x_out = ends if w in lose_u else ends[::-1]
+        del adj[w][parent[w]], adj[parent[w]][w]
+        adj[x][x_out] = adj[x_out][x] = r
+        node, above, pos = x, x_out, r
+        while True:
+            parent[node], above = above, parent[node]
+            up[node], pos = pos, up[node]
+            if node == w:
+                break
+            node, above = above, node
+        # new depths and potentials, top-down over the re-hung subtree alone
+        depth[x] = depth[x_out] + 1
+        y[x] = c_B[r] - y[x_out]
+        subtree = [x]
+        for v in subtree:
+            for child, pos in adj[v].items():
+                if child != parent[v]:
+                    depth[child] = depth[v] + 1
+                    y[child] = c_B[pos] - y[v]
+                    subtree.append(child)
+
+
+def _fit(y, N, exponent, size):
+    """ldexp(y, exponent), after a shift of the sources' potentials by t and
+    the targets' by -t when one of them would pass the largest double; size
+    is the largest |cost|, named in the ValueError raised when no shift fits."""
+    top = np.finfo(float).maxexp  # ldexp(v, exponent) is finite iff frexp(v)[1] + exponent <= top
+    if np.frexp(y)[1].max() + exponent > top:
+        bound = np.ldexp(1.0, top - exponent)  # |v| < bound fits
+        phi, psi = y[:N], y[N:]
+        lo = max(-bound - phi.min(), psi.max() - bound)
+        hi = min(bound - phi.max(), psi.min() + bound)
+        t = (lo + hi) / 2
+        y = np.concatenate([phi + t, psi - t])
+        if np.frexp(y)[1].max() + exponent > top:
+            raise ValueError(f"costs of size {size:.3g} have potentials past the largest double")
+    return np.ldexp(y, exponent)
 
 
 def solve_lp(prob: TransportLp, start=None) -> LpSolution:
@@ -247,12 +317,24 @@ def solve_lp(prob: TransportLp, start=None) -> LpSolution:
     it when its cells form a spanning tree with feasible flows, and from the
     north-west-corner staircase of (p, q) otherwise.  Solutions are
     deterministic for a fixed input and start.  Raises LpSolverError when
-    MAX_ITERATIONS pivots reach no optimum.
+    MAX_ITERATIONS pivots reach no optimum, and ValueError when costs near
+    the largest double leave no pair of potentials that fits in a double.
     """
-    sx = _Simplex(prob)
-    if start is None or not sx.start_from(start):
+    N, M = prob.cost.shape
+    begin = None if start is None else _start_from(start, N, M, prob.rhs())
+    if begin is None:
         ii, jj, mass = staircase(prob.p, prob.q)
-        sx.basis, sx.flow = ii * sx.M + jj, mass
-
-    sx.run(bland_after=BLAND_AFTER * (sx.N + sx.M - 1 + sx.c.size))
-    return LpSolution(sx.flow, sx.y, float(sx.c[sx.basis] @ sx.flow), sx.iterations, sx.basis)
+        basis = ii * M + jj
+        begin = basis, mass.tolist(), _walk(basis, N, M)
+    basis, flow, tree = begin
+    # pivot on the cost scaled by a power of two into [-1, 1]: exact, and no
+    # potential or reduced cost overflows
+    C = prob.cost.ravel()
+    size = float(np.abs(C).max())
+    exponent = int(np.frexp(size)[1])
+    y, iterations = _pivot(
+        np.ldexp(C, -exponent), N, M, basis, flow, tree, BLAND_AFTER * (N + M - 1 + N * M)
+    )
+    flow = np.array(flow)
+    dual_rows = _fit(np.array(y), N, exponent, size)
+    return LpSolution(flow, dual_rows, float(C[basis] @ flow), iterations, basis)

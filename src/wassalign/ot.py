@@ -8,7 +8,8 @@ cbar-transform, so that phi = psi^cbar holds exactly.  A separate quantile
 solver handles measures on the line: there the same staircase, taken on the
 sorted supports, is the monotone coupling, which is optimal for costs
 |y - z|^p with p >= 1; it produces the same value/potential contracts in
-O((N + M) log(N + M)) and certifies them by the duality gap.  On the line
+O((N + M) log(N + M)).  Both solvers certify their answer by the duality
+gap, checked against the tolerance of the largest cost.  On the line
 the cost minus a potential is a Monge matrix, so its cbar- and
 c-transforms (`cbar_transform_1d`, `c_transform_1d`) take monotone row
 minima by divide and conquer, O((N + M) log N), instead of a pass over all
@@ -161,6 +162,9 @@ def wasserstein(p, q, C, start=None) -> OtResult:
     and max |C| as largest_cost.
     The source potential is recomputed as cbar_transform(psi), which keeps
     the dual objective and yields the canonical cbar-concave representative.
+    The certificate is the duality gap between that dual pair and the
+    value, checked against the tolerance of the largest cost, as in
+    `wasserstein_1d`.
 
     start: the `basis` of an earlier result with the same p and q, from
     which the simplex starts instead of the north-west-corner staircase
@@ -171,16 +175,22 @@ def wasserstein(p, q, C, start=None) -> OtResult:
 
     Raises:
         ValueError: p or q is not a probability vector, or the shapes of p,
-            q and C do not match, or C is not finite.
-        LpSolverError: the transport LP found no optimum (`solve_lp`).
+            q and C do not match, or C is not finite, or no pair of
+            potentials of C fits in a double (`solve_lp`).
+        LpSolverError: the transport LP found no optimum (`solve_lp`), or
+            the duality gap fails its check.
     """
     prob = TransportLp(C, probability_vector(p, "p"), probability_vector(q, "q"))
     sol = solve_lp(prob, start=start)
     rows, cols = np.divmod(sol.basis, prob.q.size)
     plan = TransportPlan(rows, cols, sol.flow, prob.cost.shape)
     psi = sol.dual_rows[prob.p.size :]
-    phi = cbar_transform(psi, prob.cost)
+    with np.errstate(over="ignore"):  # a cell past the largest double is no row minimum
+        phi = cbar_transform(psi, prob.cost)
     largest_cost = float(np.abs(prob.cost).max())
+    gap = abs(float(phi @ prob.p + psi @ prob.q) - sol.objective)
+    if not gap <= tolerance.of(largest_cost):
+        raise LpSolverError(f"transport LP: duality gap {gap:.3e} fails its check")
     return OtResult(float(sol.objective), plan, PotentialPair(phi, psi), largest_cost, sol.basis)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import tracemalloc
 import warnings
@@ -187,6 +188,17 @@ def _hit_the_iteration_limit(monkeypatch):
     monkeypatch.setattr(wassalign.lp, "MAX_ITERATIONS", 0)
 
 
+def _perturb_the_lp_duals(monkeypatch):
+    # row duals that are no optimal pair: the transport LP's own duality gap fails
+    solve = wassalign.ot.solve_lp
+
+    def perturbed(prob, start=None):
+        sol = solve(prob, start=start)
+        return dataclasses.replace(sol, dual_rows=sol.dual_rows + np.arange(sol.dual_rows.size))
+
+    monkeypatch.setattr(wassalign.ot, "solve_lp", perturbed)
+
+
 def _fail_the_quantile_certificate(monkeypatch):
     # the windows' row minima less 1 leave a duality gap of 1
     row_min = wassalign.ot._staircase_row_min
@@ -197,6 +209,7 @@ def _fail_the_quantile_certificate(monkeypatch):
     "target_dim, fail, match",
     [
         pytest.param(2, _hit_the_iteration_limit, "pivots", id="iteration-limit"),
+        pytest.param(2, _perturb_the_lp_duals, "duality gap", id="lp-certificate"),
         pytest.param(1, _fail_the_quantile_certificate, "duality gap", id="quantile-certificate"),
     ],
 )
@@ -323,6 +336,43 @@ def test_ot_command(tmp_path, capsys):
     np.testing.assert_allclose(plan.sum(axis=1), [1.0], atol=1e-8)
     pots, _ = read_points_csv(str(prefix) + ".potentials.csv")
     assert pots.shape == (3, 3)
+
+
+@pytest.mark.parametrize(
+    "mu_points, nu_points, scale",
+    [
+        # potentials of up to 1e308 that fit as the tree gives them
+        pytest.param([(0, 0), (1, 0), (0, 1)], [(0, 0), (1, 0), (0, 1)], -1e308, id="fits"),
+        # phi_0 = -5.1e308 and psi_1 = 0 on the optimal tree: no shift fits both
+        pytest.param([(1, 0), (0, 1)], [(1, -1), (1, 1)], -1.7e308, id="no-shift-fits"),
+    ],
+)
+def test_ot_near_the_largest_double_gives_finite_potentials_or_one_error(
+    tmp_path, capsys, mu_points, nu_points, scale
+):
+    mu, nu, prefix = tmp_path / "mu.csv", tmp_path / "nu.csv", tmp_path / "o"
+    write_cloud(mu, mu_points)
+    write_cloud(nu, nu_points)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc = main(["ot", "--mu", str(mu), "--nu", str(nu), "--cost", f"inner:{scale}", "--out", str(prefix)])
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    if rc == 0:
+        pots, _ = read_points_csv(str(prefix) + ".potentials.csv")
+        assert np.all(np.isfinite(pots))
+    else:
+        lines = err.splitlines()
+        assert rc == 1
+        assert len(lines) == 1 and lines[0].startswith("error:") and "largest double" in lines[0]
+
+
+def test_mixture_demo_refused_grid_is_one_error_line(tmp_path, capsys):
+    # the grid is checked before the coarse-grid warning is printed
+    rc = main(["mixture-demo", "--samples", "200", "--grid", "0", "--out", str(tmp_path / "m.json")])
+    lines = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert len(lines) == 1 and lines[0].startswith("error:") and "grid" in lines[0]
 
 
 def test_mixture_demo_command(tmp_path, capsys):

@@ -445,3 +445,120 @@ def test_blands_rule_alone_reaches_the_dantzig_optimum(monkeypatch):
         N, M = prob.cost.shape
         assert _is_spanning_tree(*np.divmod(b.basis, M), N, M)
         assert b.flow.min() >= 0.0
+
+
+# -- the kept tree ---------------------------------------------------------
+
+
+def _walked_potentials(C, basis):
+    """Potentials of a fresh breadth-first walk of the basis cells from the
+    last target: 0 there, and y_i + y_(N+j) = C_ij on every cell."""
+    N, M = C.shape
+    adj = [[] for _ in range(N + M)]
+    for i, j in zip(*np.divmod(basis, M)):
+        adj[i].append((N + j, C[i, j]))
+        adj[N + j].append((i, C[i, j]))
+    y, seen, order = [0.0] * (N + M), {N + M - 1}, [N + M - 1]
+    for v in order:
+        for w, cost in adj[v]:
+            if w not in seen:
+                seen.add(w)
+                y[w] = cost - y[v]
+                order.append(w)
+    assert len(order) == N + M
+    return np.array(y)
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    N=st.integers(1, 8),
+    M=st.integers(1, 8),
+    kind=st.sampled_from(["uniform", "zeros", "dyadic"]),
+    warm=st.booleans(),
+    bland=st.booleans(),
+)
+@example(seed=0, N=1, M=8, kind="zeros", warm=True, bland=False)
+@example(seed=1, N=8, M=1, kind="uniform", warm=False, bland=True)
+@example(seed=2, N=8, M=8, kind="uniform", warm=True, bland=True)
+def test_kept_tree_equals_a_fresh_walk_on_degenerate_lps(seed, N, M, kind, warm, bland):
+    # integer costs in {0..3} with tied or zero weights: many ties in the
+    # pricing and in the ratio test, and cells of zero flow in the tree
+    from unittest import mock
+
+    from scipy.optimize import linprog
+
+    rng = np.random.default_rng(seed)
+    p, q = _weights(rng, N, kind), _weights(rng, M, kind)
+    C = rng.integers(0, 4, size=(N, M)).astype(float)
+    prob = TransportLp(C, p, q)
+    with mock.patch.object(lp, "BLAND_AFTER", 0 if bland else lp.BLAND_AFTER):
+        start = None
+        if warm:
+            start = solve_lp(TransportLp(rng.integers(0, 4, size=(N, M)).astype(float), p, q)).basis
+        sol = solve_lp(prob, start=start)
+    ref = linprog(C.ravel(), A_eq=_constraint_matrix(N, M), b_eq=prob.rhs(), method="highs-ds")
+    assert ref.status == 0
+    assert abs(sol.objective - ref.fun) <= tolerance.of(1.0, C)
+    # the potentials kept across pivots are the fresh walk's, bit for bit
+    assert np.array_equal(sol.dual_rows, _walked_potentials(C, sol.basis))
+    ii, jj = np.divmod(sol.basis, M)
+    assert _is_spanning_tree(ii, jj, N, M)
+    assert sol.flow.min() >= 0.0
+
+
+def test_power_of_two_cost_scaling_is_exact():
+    # the simplex pivots on C over a power of two: C times 2^600 or 2^-600
+    # makes the same pivots, and its potentials are the same times 2^600 or 2^-600
+    rng = np.random.default_rng(61)
+    for _ in range(6):
+        prob = _random_transport_lp(rng, 7, 5)
+        sol = solve_lp(prob)
+        for k in (600, -600):
+            big = solve_lp(TransportLp(np.ldexp(prob.cost, k), prob.p, prob.q))
+            assert big.iterations == sol.iterations
+            np.testing.assert_array_equal(big.basis, sol.basis)
+            np.testing.assert_array_equal(big.flow, sol.flow)
+            np.testing.assert_array_equal(big.dual_rows, np.ldexp(sol.dual_rows, k))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-300.0, 307.0))
+def test_value_scales_with_the_cost_at_any_scale(seed, log_scale):
+    # costs of 1e-300 to 1e307: the same value, scaled, and finite duals
+    rng = np.random.default_rng(seed)
+    prob = _random_transport_lp(rng, 6, 5)
+    s = 10.0**log_scale
+    scaled = solve_lp(TransportLp(prob.cost * s, prob.p, prob.q))
+    assert abs(scaled.objective / s - solve_lp(prob).objective) <= tolerance.of(prob.cost)
+    assert np.all(np.isfinite(scaled.dual_rows))
+
+
+def test_costs_near_the_largest_double_solve_with_finite_duals():
+    # costs uniform on [-1, 1] x 4e307: unscaled, the potentials would pass
+    # the largest double and the pricing would see no finite reduced cost
+    import time
+
+    rng = np.random.default_rng(0)
+    C = rng.uniform(-1.0, 1.0, size=(50, 50)) * 4e307
+    prob = TransportLp(C, np.full(50, 0.02), np.full(50, 0.02))
+    t0 = time.perf_counter()
+    sol = solve_lp(prob)
+    assert time.perf_counter() - t0 < 1.0
+    assert np.all(np.isfinite(sol.dual_rows))
+    res = check_solution(prob, sol)
+    assert res["primal_infeasibility"] <= 1e-12
+    assert res["dual_infeasibility"] <= 1e-9
+
+
+def test_potentials_are_shifted_to_fit_or_refused():
+    # one source, costs -1e308 and 1e308: the tree's potentials from the last
+    # target are 1e308 and -2e308, and a shift of phi + t, psi - t fits them
+    sol = solve_lp(TransportLp([[-1e308, 1e308]], [1.0], [0.5, 0.5]))
+    y = sol.dual_rows
+    assert np.all(np.isfinite(y))
+    assert y[0] + y[1] == -1e308 and y[0] + y[2] == 1e308
+    # here the staircase is optimal, and its potentials are phi = (-5.1e308,
+    # -1.7e308) and psi = (3.4e308, 0): no t puts both phi_0 + t and -t in a double
+    with pytest.raises(ValueError, match="1.7e\\+308"):
+        solve_lp(TransportLp([[-1.7e308, -1.7e308], [1.7e308, -1.7e308]], [0.5, 0.5], [0.5, 0.5]))

@@ -37,7 +37,9 @@ from wassalign.crosscheck import (
     build_cost_tensor,
     compute_J_psi,
     extract_theta,
+    feasibility_violation,
     gap_certificate,
+    mean_consistency_violation,
     solve_dual,
     solve_relaxed_primal,
 )

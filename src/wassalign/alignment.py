@@ -55,26 +55,6 @@ class AlignmentDual:
     psi: np.ndarray  # (M, l)
     value: float
 
-    def psi_at(self, k: int) -> np.ndarray:
-        return self.psi[:, k]
-
-    def feasibility_violation(self, ct) -> float:
-        """max over (i, j, k) of xi_ik + psi_jk - (c_ijk + R_k); ct is a cost
-        tensor of `wassalign.crosscheck`, read through its folded()."""
-        folded = ct.folded()
-        worst = -np.inf
-        for k in range(folded.shape[2]):
-            v = self.xi[:, k, None] + self.psi[None, :, k] - folded[:, :, k]
-            worst = max(worst, float(v.max()))
-        return worst
-
-    def mean_consistency_violation(self, p: np.ndarray, q: np.ndarray | None = None) -> float:
-        """Deviation of the per-entry means from their k = 0 reference."""
-        worst = float(np.max(np.abs(p @ self.xi - p @ self.xi[:, 0])))
-        if q is not None:
-            worst = max(worst, float(np.max(np.abs(q @ self.psi - q @ self.psi[:, 0]))))
-        return worst
-
 
 @dataclass(frozen=True)
 class AlignmentReport:
@@ -88,12 +68,6 @@ class AlignmentReport:
     plan: TransportPlan
     potentials: PotentialPair
     dual: AlignmentDual
-
-
-def _folded_size(largest_costs, penalties) -> float:
-    """max_k (max_ij |c_ijk| + |R_k|), from largest_costs[k] = max_ij |c_ijk|:
-    the size of the folded costs c + R, an upper bound of max |c + R|."""
-    return float(np.max(np.asarray(largest_costs) + np.abs(penalties)))
 
 
 def _assemble_dual(per_theta, pots, penalties, q, transforms) -> AlignmentDual:
@@ -180,16 +154,11 @@ def _entry_solver(mu: DiscreteMeasure, nu: DiscreteMeasure, cost: CostSpec):
 
         return line_solve, line_transforms
 
-    def cost_of(y):
-        return pairwise_cost(y, nu.points, cost)
-
     def solve(y, start=None):
-        with np.errstate(over="ignore", invalid="ignore"):  # wasserstein refuses a non-finite C
-            C = cost_of(y)
-        return wasserstein(p, q, C, start=start)
+        return wasserstein(p, q, pairwise_cost(y, nu.points, cost), start=start)
 
     def dense_transforms(y):
-        C = cost_of(y)
+        C = pairwise_cost(y, nu.points, cost)
         return (lambda psi: cbar_transform(psi, C)), (lambda phi: c_transform(phi, C))
 
     return solve, dense_transforms
@@ -214,10 +183,7 @@ def align(
     per-entry transforms; `crosscheck.solve_dual` on the same instance's
     cost tensor is the independent cross-check.
     """
-    if fam.source_dim != mu.dim:
-        raise ValueError(f"family maps from R^{fam.source_dim}, mu lives in R^{mu.dim}")
-    if fam.target_dim != nu.dim:
-        raise ValueError(f"family maps into R^{fam.target_dim}, nu lives in R^{nu.dim}")
+    fam.check_between(mu, nu)
     penalties = fam.penalties
     solve, transforms = _entry_solver(mu, nu, cost)
     images = [entry.apply(mu.points) for entry in fam]
@@ -227,7 +193,7 @@ def align(
         solves.append(res)
         start = res.basis  # the entries share p and q: each optimal basis fits the next
     per_theta = np.array([res.value for res in solves]) + penalties
-    size = _folded_size([res.largest_cost for res in solves], penalties)
+    size = tolerance.folded_size([res.largest_cost for res in solves], penalties)
 
     dual = _assemble_dual(
         per_theta,

@@ -54,7 +54,7 @@ def _report_json(report, timings_ms) -> str:
         "thetaStar": {"index": k, "label": report.theta_star_label},
         "iCurve": list(report.i_curve),
         "gapCurve": list(report.gap_curve),
-        "psi": list(report.dual.psi_at(k)),
+        "psi": list(report.dual.psi[:, k]),
         "planNnz": report.plan.nnz,
         "timingsMs": timings_ms,
     }
@@ -116,8 +116,7 @@ def cmd_align(args) -> int:
 def cmd_ot(args) -> int:
     mu = _load_measure(args.mu)
     nu = _load_measure(args.nu)
-    with np.errstate(over="ignore", invalid="ignore"):  # wasserstein refuses a non-finite C
-        C = pairwise_cost(mu.points, nu.points, parse_cost(args.cost))
+    C = pairwise_cost(mu.points, nu.points, parse_cost(args.cost))
     res = wasserstein(mu.weights, nu.weights, C)
     write_matrix_csv(f"{args.out}.plan.csv", res.plan.matrix)
     # long format: one potential per row, phi entries first

@@ -13,6 +13,9 @@ one exact OT solve per family entry.  This module computes it two more ways:
                        Z -- the LP dual of solve_dual;
   brute_force          one exact OT solve per family entry.
 
+`feasibility_violation` and `mean_consistency_violation` check any
+`AlignmentDual` against the dual's constraints on the tensor.
+
 Why the target potential carries a family index: with a single psi_j the LP
 is the relaxation in which only X is independent of theta, and that
 relaxation may split nu across transforms (each theta-channel must carry all
@@ -59,6 +62,8 @@ __all__ = [
     "solve_relaxed_primal",
     "compute_J_psi",
     "gap_certificate",
+    "feasibility_violation",
+    "mean_consistency_violation",
 ]
 
 
@@ -91,6 +96,11 @@ class CostTensor:
         """values with penalties folded in: c_ijk + R_k."""
         return self.values + self.penalties[None, None, :]
 
+    @property
+    def folded_size(self) -> float:
+        """`tolerance.folded_size` of c + R: the size every threshold and LP scaling takes."""
+        return tolerance.folded_size(np.abs(self.values).max(axis=(0, 1)), self.penalties)
+
     def slice(self, k: int) -> np.ndarray:
         """(N, M) cost matrix of family entry k, penalty excluded."""
         return self.values[:, :, k]
@@ -103,15 +113,11 @@ def build_cost_tensor(
     cost: CostSpec,
 ) -> CostTensor:
     """Evaluate c(T_k x_i, z_j) for every (i, j, k)."""
-    if fam.source_dim != mu.dim:
-        raise ValueError(f"family maps from R^{fam.source_dim}, mu lives in R^{mu.dim}")
-    if fam.target_dim != nu.dim:
-        raise ValueError(f"family maps into R^{fam.target_dim}, nu lives in R^{nu.dim}")
+    fam.check_between(mu, nu)
     N, M, l = mu.size, nu.size, len(fam)
     values = np.empty((N, M, l))
-    with np.errstate(over="ignore", invalid="ignore"):  # CostTensor refuses a non-finite entry
-        for k, entry in enumerate(fam):
-            values[:, :, k] = pairwise_cost(entry.apply(mu.points), nu.points, cost)
+    for k, entry in enumerate(fam):
+        values[:, :, k] = pairwise_cost(entry.apply(mu.points), nu.points, cost)
     return CostTensor(values, fam.penalties)
 
 
@@ -159,12 +165,6 @@ class GapCertificate:
         return abs(self.delta + self.g - self.rhs)
 
 
-def _tensor_size(ct: CostTensor) -> float:
-    """max_k (max_ij |c_ijk| + |R_k|): the size of the folded costs c + R,
-    an upper bound of max |c + R|."""
-    return float(np.max(np.abs(ct.values).max(axis=(0, 1)) + np.abs(ct.penalties)))
-
-
 def _psibar_folded(psi: np.ndarray, folded: np.ndarray) -> np.ndarray:
     """(N, l) array of min_j (folded[i, j, k] - psi[j, k]).
 
@@ -189,7 +189,7 @@ def brute_force(mu: DiscreteMeasure, nu: DiscreteMeasure, ct: CostTensor) -> Bru
     one exact OT solve per family entry."""
     values = [wasserstein(mu.weights, nu.weights, ct.slice(k)).value for k in range(ct.shape[2])]
     per_theta = np.array(values) + ct.penalties
-    k_star = tolerance.argmin_set(per_theta, _tensor_size(ct))
+    k_star = tolerance.argmin_set(per_theta, ct.folded_size)
     return BruteForceResult(k_star, float(per_theta.min()), per_theta)
 
 
@@ -206,7 +206,7 @@ def solve_dual(mu: DiscreteMeasure, nu: DiscreteMeasure, ct: CostTensor) -> Alig
 
     N, M, l = ct.shape
     p, q = mu.weights, nu.weights
-    size = _tensor_size(ct) or 1.0  # all-zero costs: nothing to scale
+    size = ct.folded_size or 1.0  # all-zero costs: nothing to scale
     n_vars = N * l + M * l
     obj = np.zeros(n_vars)
     obj[np.arange(N) * l] = p  # xi_{i, 0} carries the source integral
@@ -266,7 +266,7 @@ def solve_relaxed_primal(
 
     N, M, l = ct.shape
     p, q = mu.weights, nu.weights
-    size = _tensor_size(ct) or 1.0  # all-zero costs: nothing to scale
+    size = ct.folded_size or 1.0  # all-zero costs: nothing to scale
     n_vars = N * l * M
     obj = ct.folded().transpose(0, 2, 1).ravel() / size  # (i, k, j) order
 
@@ -315,7 +315,7 @@ def extract_theta(dual: AlignmentDual, ct: CostTensor, p: np.ndarray) -> ThetaEx
     """
     psibar = _psibar_folded(dual.psi, ct.folded())
     i_curve = p @ psibar
-    size = _tensor_size(ct)
+    size = ct.folded_size
     k_star = tolerance.argmin_set(i_curve, size)
 
     witness_k = None
@@ -377,3 +377,22 @@ def gap_certificate(
     g = float(dual_value - (i_min + psi @ nu.weights))
     rhs = float(i_curve[k0] - i_min)
     return GapCertificate(delta, g, rhs)
+
+
+def feasibility_violation(dual: AlignmentDual, ct: CostTensor) -> float:
+    """max over (i, j, k) of xi_ik + psi_jk - (c_ijk + R_k), one entry at a
+    time, so no second N x M x l array is formed."""
+    folded = ct.folded()
+    worst = -np.inf
+    for k in range(folded.shape[2]):
+        v = dual.xi[:, k, None] + dual.psi[None, :, k] - folded[:, :, k]
+        worst = max(worst, float(v.max()))
+    return worst
+
+
+def mean_consistency_violation(dual: AlignmentDual, p: np.ndarray, q=None) -> float:
+    """Deviation of the dual's per-entry means from their k = 0 reference."""
+    worst = float(np.max(np.abs(p @ dual.xi - p @ dual.xi[:, 0])))
+    if q is not None:
+        worst = max(worst, float(np.max(np.abs(q @ dual.psi - q @ dual.psi[:, 0]))))
+    return worst

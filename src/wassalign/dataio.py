@@ -45,7 +45,7 @@ def _is_number(token: str) -> bool:
 
 def read_points_csv(path: str):
     """Load a point cloud; returns (points (n, d), weights or None)."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:  # a byte-order mark is no header
         lines = [ln.strip() for ln in fh if ln.strip()]
     if not lines:
         raise ValueError(f"{path}: empty file")
@@ -77,12 +77,8 @@ def read_points_csv(path: str):
 
 
 def write_matrix_csv(path: str, values: np.ndarray, header=None) -> None:
-    values = np.atleast_2d(np.asarray(values, dtype=float))
-    with open(path, "w", encoding="utf-8") as fh:
-        if header:
-            fh.write(",".join(header) + "\n")
-        for row in values:
-            fh.write(",".join(format(v, ".17g") for v in row) + "\n")
+    head = ",".join(header or ())
+    np.savetxt(path, np.atleast_2d(values), fmt="%.17g", delimiter=",", header=head, comments="")
 
 
 def parse_family(spec: str, source_dim: int, target_dim: int) -> TransformFamily:

@@ -47,8 +47,8 @@ class DiscreteMeasure:
 
     Attributes:
         points: (n, dim) array of support points.
-        weights: (n,) probability vector; nonnegative, sums to 1 within
-            MEASURE_SUM_TOL.
+        weights: (n,) probability vector, checked by `probability_vector`
+            and stored as given.
     """
 
     points: np.ndarray
@@ -63,12 +63,7 @@ class DiscreteMeasure:
             raise ValueError(f"weights shape {w.shape} does not match {pts.shape[0]} points")
         if not np.all(np.isfinite(pts)):
             raise ValueError("points contain non-finite coordinates")
-        if np.any(w < 0):
-            raise ValueError("negative weight")
-        if not abs(w.sum() - 1.0) <= tolerance.MEASURE_SUM_TOL:  # a NaN sum fails too
-            raise ValueError(
-                f"weights sum to {w.sum()!r}, expected 1 within {tolerance.MEASURE_SUM_TOL:g}"
-            )
+        probability_vector(w)  # the check only: 14 weights of 1/14 do not sum to exactly 1
         object.__setattr__(self, "points", _readonly(pts))
         object.__setattr__(self, "weights", _readonly(w))
 
@@ -101,8 +96,8 @@ class DiscreteMeasure:
 def new_measure(points, weights=None) -> DiscreteMeasure:
     """Build a validated measure; uniform weights when none are given.
 
-    Weights pass `probability_vector`, so the stored vector sums to 1
-    within MEASURE_SUM_TOL.
+    Given weights pass `probability_vector` and are stored as it
+    renormalizes them; `DiscreteMeasure` checks them by the same rule.
 
     Raises:
         ValueError: empty points, inconsistent dimensions, or weights that
@@ -133,7 +128,7 @@ def probability_vector(w, name: str = "weights") -> np.ndarray:
         raise ValueError(f"{name} is not a probability vector: negative weight")
     total = w.sum()
     if not abs(total - 1.0) <= tolerance.WEIGHT_SUM_TOL:
-        raise ValueError(f"{name} is not a probability vector: weight-sum {total!r}")
+        raise ValueError(f"{name} is not a probability vector: weight-sum {float(total)!r}")
     return w / total
 
 
@@ -231,6 +226,13 @@ class TransformFamily:
     def target_dim(self) -> int:
         return self.entries[0].matrix.shape[0]
 
+    def check_between(self, mu: DiscreteMeasure, nu: DiscreteMeasure) -> None:
+        """Raise ValueError unless the family maps mu's space into nu's."""
+        if self.source_dim != mu.dim:
+            raise ValueError(f"family maps from R^{self.source_dim}, mu lives in R^{mu.dim}")
+        if self.target_dim != nu.dim:
+            raise ValueError(f"family maps into R^{self.target_dim}, nu lives in R^{nu.dim}")
+
     @property
     def penalties(self) -> np.ndarray:
         return np.array([e.penalty for e in self.entries])
@@ -287,23 +289,27 @@ class CostSpec:
 
 
 def pairwise_cost(Y: np.ndarray, Z: np.ndarray, cost: CostSpec) -> np.ndarray:
-    """Cost matrix c(Y[i], Z[j]) for point arrays Y (N, d) and Z (M, d)."""
+    """Cost matrix c(Y[i], Z[j]) for point arrays Y (N, d) and Z (M, d).
+
+    The one overflow guard of a cost matrix: a cost past the largest double
+    comes back inf or NaN, with no warning, and the callers refuse it."""
     Y = np.asarray(Y, dtype=float)
     Z = np.asarray(Z, dtype=float)
     if Y.shape[1] != Z.shape[1]:
         raise ValueError(f"point dimensions differ: {Y.shape[1]} vs {Z.shape[1]}")
-    if cost.kind == "inner":
-        return cost.scale * (Y @ Z.T)
-    # squared distances via the expansion ||y||^2 - 2<y,z> + ||z||^2, clipped at 0
-    sq = (
-        np.einsum("id,id->i", Y, Y)[:, None]
-        - 2.0 * (Y @ Z.T)
-        + np.einsum("jd,jd->j", Z, Z)[None, :]
-    )
-    np.maximum(sq, 0.0, out=sq)
-    if cost.kind == "sq-euclidean":
-        return sq
-    return np.power(sq, cost.p / 2.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cost.kind == "inner":
+            return cost.scale * (Y @ Z.T)
+        # squared distances via the expansion ||y||^2 - 2<y,z> + ||z||^2, clipped at 0
+        sq = (
+            np.einsum("id,id->i", Y, Y)[:, None]
+            - 2.0 * (Y @ Z.T)
+            + np.einsum("jd,jd->j", Z, Z)[None, :]
+        )
+        np.maximum(sq, 0.0, out=sq)
+        if cost.kind == "sq-euclidean":
+            return sq
+        return np.power(sq, cost.p / 2.0)
 
 
 def rotation_grid_angles(l: int) -> np.ndarray:

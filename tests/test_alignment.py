@@ -12,7 +12,9 @@ from wassalign.crosscheck import (
     build_cost_tensor,
     compute_J_psi,
     extract_theta,
+    feasibility_violation,
     gap_certificate,
+    mean_consistency_violation,
     solve_dual,
     solve_relaxed_primal,
 )
@@ -65,8 +67,8 @@ def test_identity_family_same_measure_value_zero():
     ct = build_cost_tensor(mu, mu, identity_family(2), CostSpec.squared_euclidean())
     dual = solve_dual(mu, mu, ct)
     assert dual.value == pytest.approx(0.0, abs=1e-8)
-    assert dual.feasibility_violation(ct) <= 1e-8
-    assert dual.mean_consistency_violation(mu.weights, mu.weights) <= 1e-8
+    assert feasibility_violation(dual, ct) <= 1e-8
+    assert mean_consistency_violation(dual, mu.weights, mu.weights) <= 1e-8
 
 
 def test_target_splitting_counterexample_is_solved_tightly():
@@ -117,8 +119,8 @@ def test_dual_agrees_with_brute_force_and_relaxed_primal():
         rp = solve_relaxed_primal(mu, nu, ct)
         assert dual.value == pytest.approx(bf.value, abs=1e-7)
         assert rp.value == pytest.approx(bf.value, abs=1e-7)
-        assert dual.feasibility_violation(ct) <= 1e-8
-        assert dual.mean_consistency_violation(mu.weights, nu.weights) <= 1e-8
+        assert feasibility_violation(dual, ct) <= 1e-8
+        assert mean_consistency_violation(dual, mu.weights, nu.weights) <= 1e-8
 
 
 def test_assembled_dual_matches_joint_lp():
@@ -132,8 +134,8 @@ def test_assembled_dual_matches_joint_lp():
         d_lp = solve_dual(mu, nu, ct)
         d_cert = align(mu, nu, fam, spec).dual
         assert d_cert.value == pytest.approx(d_lp.value, abs=1e-7)
-        assert d_cert.feasibility_violation(ct) <= 1e-8
-        assert d_cert.mean_consistency_violation(mu.weights, nu.weights) <= 1e-8
+        assert feasibility_violation(d_cert, ct) <= 1e-8
+        assert mean_consistency_violation(d_cert, mu.weights, nu.weights) <= 1e-8
 
 
 def test_extract_theta_single_entry():
@@ -251,15 +253,15 @@ def test_J_psi_lift_never_exceeds_value_and_is_tight_without_splitting():
         mu, nu, ct = random_instance(rng)
         dual = solve_dual(mu, nu, ct)
         for k in range(ct.shape[2]):
-            psi = dual.psi_at(k)
+            psi = dual.psi[:, k]
             J = compute_J_psi(psi, ct, mu.weights)
             obj = mu.weights @ J[:, 0] + psi @ nu.weights
             assert obj <= dual.value + 1e-7
     # with a single family entry the lift attains the value exactly
     mu, nu, ct = random_instance(rng, l=1)
     dual = solve_dual(mu, nu, ct)
-    J = compute_J_psi(dual.psi_at(0), ct, mu.weights)
-    obj = mu.weights @ J[:, 0] + dual.psi_at(0) @ nu.weights
+    J = compute_J_psi(dual.psi[:, 0], ct, mu.weights)
+    obj = mu.weights @ J[:, 0] + dual.psi[:, 0] @ nu.weights
     assert obj == pytest.approx(dual.value, abs=1e-7)
 
 
@@ -370,7 +372,7 @@ def test_align_report_invariants():
     report = align(mu, nu, fam, CostSpec.squared_euclidean())
     k = report.theta_star
     assert report.value == pytest.approx(
-        report.i_curve[k] + report.dual.psi_at(k) @ nu.weights, abs=1e-7
+        report.i_curve[k] + report.dual.psi[:, k] @ nu.weights, abs=1e-7
     )
     assert np.min(report.gap_curve) >= -1e-8
     report.plan.check_marginals(mu.weights, nu.weights)
@@ -409,12 +411,12 @@ def test_projected_1d_path_matches_tensor_path():
     # both duals satisfy the report identity at the optimizer
     k = rep.theta_star
     assert rep.value == pytest.approx(
-        rep.i_curve[k] + rep.dual.psi_at(k) @ nu.weights, abs=1e-7
+        rep.i_curve[k] + rep.dual.psi[:, k] @ nu.weights, abs=1e-7
     )
     i_curve_lp = extract_theta(d_lp, ct, mu.weights).i_curve
-    assert d_lp.value == pytest.approx(i_curve_lp[k] + d_lp.psi_at(k) @ nu.weights, abs=1e-7)
-    assert rep.dual.feasibility_violation(ct) <= 1e-8
-    assert d_lp.feasibility_violation(ct) <= 1e-8
+    assert d_lp.value == pytest.approx(i_curve_lp[k] + d_lp.psi[:, k] @ nu.weights, abs=1e-7)
+    assert feasibility_violation(rep.dual, ct) <= 1e-8
+    assert feasibility_violation(d_lp, ct) <= 1e-8
 
 
 def test_align_solves_each_entry_once(monkeypatch):

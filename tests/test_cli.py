@@ -19,8 +19,8 @@ from wassalign.measures import new_measure, rotation_grid
 REPORT_KEYS = {"value", "thetaStar", "iCurve", "gapCurve", "psi", "planNnz", "timingsMs"}
 
 
-def write_cloud(path, points, weights=None, header=None):
-    with open(path, "w") as fh:
+def write_cloud(path, points, weights=None, header=None, encoding="utf-8"):
+    with open(path, "w", encoding=encoding) as fh:
         if header:
             fh.write(",".join(header) + "\n")
         for i, p in enumerate(points):
@@ -123,6 +123,7 @@ def test_align_nan_weight_is_an_input_error(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "probability vector" in err
+    assert "np.float64" not in err
     assert not (tmp_path / "r.json").exists()
 
 
@@ -336,6 +337,11 @@ def test_ot_command(tmp_path, capsys):
     np.testing.assert_allclose(plan.sum(axis=1), [1.0], atol=1e-8)
     pots, _ = read_points_csv(str(prefix) + ".potentials.csv")
     assert pots.shape == (3, 3)
+    # a byte-order mark is not a header: the first point stays
+    write_cloud(nu, np.array([[0.0], [1.0]]), encoding="utf-8-sig")
+    assert read_points_csv(str(nu))[0].shape == (2, 1)
+    assert main(["ot", "--mu", str(mu), "--nu", str(nu), "--out", str(prefix)]) == 0
+    assert "value=0.5" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

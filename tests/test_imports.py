@@ -54,15 +54,42 @@ def _names(tree):
 
 
 def test_only_crosscheck_touches_scipy_or_the_cost_tensor():
-    # the dense N*M*l tensor and the HiGHS LPs sit behind one module
+    # the dense N*M*l tensor and the HiGHS LPs sit behind one module; the
+    # tensor's folded costs are read nowhere else, so `align` checks no tensor
     found = {
         (name, ident)
         for name, tree in _library_trees()
         if name != "crosscheck.py"
         for ident in _names(tree)
-        if ident.split(".")[0] == "scipy" or ident in ("CostTensor", "linprog")
+        if ident.split(".")[0] == "scipy" or ident in ("CostTensor", "linprog", "folded")
     }
     assert found == set()
+
+
+def test_only_measures_and_ot_silence_floating_point_errors():
+    # pairwise_cost is the one overflow guard of a cost matrix: its callers
+    # refuse the non-finite entries it returns, and enter no errstate of their own
+    found = {name for name, tree in _library_trees() if "errstate" in set(_names(tree))}
+    assert found == {"measures.py", "ot.py"}
+
+
+def test_every_tolerance_constant_is_read():
+    # a threshold that no code reads is a second home for a rule kept elsewhere
+    _, tolerance = next((n, t) for n, t in _library_trees() if n == "tolerance.py")
+    constants = {
+        target.id
+        for node in tolerance.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id.isupper()
+    }
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for _, tree in _library_trees()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+    }
+    assert constants and constants - read == set()
 
 
 def test_cli_handles_errors_only_in_main():

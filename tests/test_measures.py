@@ -19,6 +19,7 @@ from wassalign.measures import (
     stiefel_validate,
     whiten,
 )
+from wassalign.ot import wasserstein, wasserstein_1d
 
 
 def test_uniform_default_weights():
@@ -34,6 +35,28 @@ def test_singleton_measure():
 def test_weight_sum_deviation_rejected():
     with pytest.raises(ValueError, match="weight-sum"):
         new_measure([(0.0,), (1.0,)], weights=[0.7, 0.2])
+
+
+WEIGHT_TAKERS = {
+    "new_measure": lambda w: new_measure([(0.0,), (1.0,)], w),
+    "DiscreteMeasure": lambda w: DiscreteMeasure(np.array([[0.0], [1.0]]), w),
+    "wasserstein": lambda w: wasserstein(w, w, np.array([[0.0, 1.0], [1.0, 0.0]])),
+    "wasserstein_1d": lambda w: wasserstein_1d([0.0, 1.0], w, [0.0, 1.0], w),
+}
+
+
+@pytest.mark.parametrize("take", WEIGHT_TAKERS.values(), ids=WEIGHT_TAKERS.keys())
+def test_one_weight_sum_rule(take):
+    # probability_vector admits every weight vector: a measure built directly
+    # is held to the sum that new_measure and the solvers accept
+    for off in (5e-10, -5e-10):
+        take(np.array([0.5, 0.5 + off]))
+    for off in (2e-9, -2e-9):
+        w = np.array([0.5, 0.5 + off])
+        with pytest.raises(ValueError, match="is not a probability vector: weight-sum ") as exc:
+            take(w)
+        assert "np.float64" not in str(exc.value)
+        assert float(str(exc.value).rsplit(" ", 1)[1]) == w.sum()
 
 
 def test_negative_weight_rejected():

@@ -1,11 +1,13 @@
 """Penalized Wasserstein alignment over a finite transform family.
 
 `align` computes the alignment value min_k { OT(p, q, c_..k) + R_k } by one
-exact OT solve per family entry.  The per-entry Kantorovich potentials,
-shifted to a common mean, assemble into an optimal point of the convex
-alignment dual (`AlignmentDual`): its objective telescopes to the per-entry
-minimum, which certifies it by weak duality.  The optimizer set is read off
-the per-entry values by `tolerance.argmin_set`, and the
+exact OT solve per family entry.  The optimizer set is read off the
+per-entry values by `tolerance.argmin_set`, and its first index is the
+optimizer, the one index the report uses.  The per-entry Kantorovich
+potentials, shifted to the mean of the optimizer's, assemble into an
+optimal point of the convex alignment dual (`AlignmentDual`): its
+objective telescopes to the per-entry minimum, which certifies it by weak
+duality, and its optimizer column is that entry's solve.  The
 complementary-slackness witness is checked at the optimizer.
 `identity_residuals` certifies every entry of a report on the same
 per-entry transforms, with no cost tensor.
@@ -70,35 +72,22 @@ class AlignmentReport:
     dual: AlignmentDual
 
 
-def _assemble_dual(per_theta, pots, penalties, q, transforms) -> AlignmentDual:
+def _assemble_dual(per_theta, pots, penalties, q, k) -> AlignmentDual:
     """Exact optimal dual from per-entry Kantorovich potentials.
 
-    For each entry, shift the potentials so that all psi columns share the
-    q-mean of the optimizer's column, and absorb the per-entry suboptimality
-    alpha_k = per_theta[k] - value into the xi side.  The pair stays feasible
-    (alpha_k >= 0 only lowers xi) and its objective telescopes to the
-    brute-force value, which certifies optimality by weak duality.
-
-    The optimizer's pair is made canonical: the solvers return
-    phi = psi^cbar, and psi* = phi^c satisfies psi* >= psi and
-    (psi*)^cbar = phi, so (phi, psi*) is feasible with the same optimal
-    objective.  transforms(k) is the (cbar, c) pair of entry k's cost; only
-    that c-transform needs it.
+    Shift every entry's pair so that all psi columns share the q-mean of
+    column k, the optimizer's, and absorb the per-entry suboptimality
+    alpha_j = per_theta[j] - value into the xi side.  Each pair stays
+    feasible (alpha_j >= 0 only lowers xi) and the objective telescopes to
+    the brute-force value, which certifies optimality by weak duality.
+    Column k is its solve's pair: psi as solved, xi = phi + R_k - alpha_k.
     """
     value = float(per_theta.min())
-    k0 = int(np.argmin(per_theta))
-    pots = list(pots)
-    _, c = transforms(k0)
-    pots[k0] = PotentialPair(pots[k0].phi, c(pots[k0].phi))
-    N, M, l = pots[0].phi.size, pots[0].psi.size, len(pots)
-    xi = np.empty((N, l))
-    psi = np.empty((M, l))
-    T = float(pots[k0].psi @ q)
-    for k in range(l):
-        alpha = per_theta[k] - value
-        t_k = T - float(pots[k].psi @ q)
-        psi[:, k] = pots[k].psi + t_k
-        xi[:, k] = pots[k].phi + penalties[k] - alpha - t_k
+    psi = np.column_stack([pair.psi for pair in pots])
+    means = np.array([pair.psi @ q for pair in pots])
+    t = means[k] - means
+    xi = np.column_stack([pair.phi for pair in pots]) + penalties - (per_theta - value) - t
+    psi += t
     return AlignmentDual(xi, psi, value)
 
 
@@ -174,37 +163,31 @@ def align(
 
     Every family entry is solved once and exactly: by the quantile solver
     when the target space is the line and the cost is sq-euclidean or a
-    power, by the transport LP otherwise.  The per-entry potentials are
-    assembled into an optimal dual (exact by weak duality); the optimizer is
-    the smallest index whose objective lies within tolerance of the
-    minimum, and the complementary-slackness witness is checked there.  Cost
-    matrices are formed one entry at a time, so memory grows with N*M, not
-    N*M*l.  identity_residuals certifies every entry's value on the same
-    per-entry transforms; `crosscheck.solve_dual` on the same instance's
-    cost tensor is the independent cross-check.
+    power, by the transport LP otherwise.  The optimizer is the smallest
+    index whose objective lies within tolerance of the minimum; the
+    per-entry potentials are assembled into an optimal dual (exact by weak
+    duality) whose optimizer column is that entry's solve, and the
+    complementary-slackness witness is checked there by one cbar-transform,
+    on the optimizer's image formed again.  Cost matrices are formed one
+    entry at a time, so memory grows with N*M, not N*M*l.
+    identity_residuals certifies every entry's value on the same per-entry
+    transforms; `crosscheck.solve_dual` on the same instance's cost tensor
+    is the independent cross-check.
     """
     fam.check_between(mu, nu)
     penalties = fam.penalties
     solve, transforms = _entry_solver(mu, nu, cost)
-    images = [entry.apply(mu.points) for entry in fam]
     solves, start = [], None
-    for y in images:
-        res = solve(y, start)
+    for entry in fam:
+        res = solve(entry.apply(mu.points), start)
         solves.append(res)
         start = res.basis  # the entries share p and q: each optimal basis fits the next
-    per_theta = np.array([res.value for res in solves]) + penalties
     size = tolerance.folded_size([res.largest_cost for res in solves], penalties)
-
-    dual = _assemble_dual(
-        per_theta,
-        [res.potentials for res in solves],
-        penalties,
-        nu.weights,
-        lambda k: transforms(images[k]),
-    )
+    per_theta = np.array([res.value for res in solves]) + penalties
     k_star = tolerance.argmin_set(per_theta, size)
     k = k_star[0]
-    cbar, _ = transforms(images[k])
+    dual = _assemble_dual(per_theta, [res.potentials for res in solves], penalties, nu.weights, k)
+    cbar, _ = transforms(fam[k].apply(mu.points))
     psibar = cbar(dual.psi[:, k]) + penalties[k]
     witness_gap = float(np.max(np.abs(dual.xi[:, k] - psibar)))
     if witness_gap > tolerance.of(size):

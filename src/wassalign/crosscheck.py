@@ -37,7 +37,7 @@ tensor, and it imports scipy inside the LPs, so the CLI never loads it.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,6 +73,8 @@ class CostTensor:
 
     values: np.ndarray  # (N, M, l)
     penalties: np.ndarray  # (l,)
+    # `tolerance.folded_size` of c + R: the size every threshold and LP scaling takes
+    folded_size: float = field(init=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -87,6 +89,9 @@ class CostTensor:
             a = np.ascontiguousarray(a)
             a.flags.writeable = False
             object.__setattr__(self, name, a)
+        # refuses folded costs past half the largest double before any sum is formed
+        size = tolerance.folded_size(np.abs(v).max(axis=(0, 1)), r)
+        object.__setattr__(self, "folded_size", size)
 
     @property
     def shape(self) -> tuple:
@@ -95,11 +100,6 @@ class CostTensor:
     def folded(self) -> np.ndarray:
         """values with penalties folded in: c_ijk + R_k."""
         return self.values + self.penalties[None, None, :]
-
-    @property
-    def folded_size(self) -> float:
-        """`tolerance.folded_size` of c + R: the size every threshold and LP scaling takes."""
-        return tolerance.folded_size(np.abs(self.values).max(axis=(0, 1)), self.penalties)
 
     def slice(self, k: int) -> np.ndarray:
         """(N, M) cost matrix of family entry k, penalty excluded."""
@@ -390,9 +390,9 @@ def feasibility_violation(dual: AlignmentDual, ct: CostTensor) -> float:
     return worst
 
 
-def mean_consistency_violation(dual: AlignmentDual, p: np.ndarray, q=None) -> float:
+def mean_consistency_violation(dual: AlignmentDual, p: np.ndarray, q: np.ndarray) -> float:
     """Deviation of the dual's per-entry means from their k = 0 reference."""
-    worst = float(np.max(np.abs(p @ dual.xi - p @ dual.xi[:, 0])))
-    if q is not None:
-        worst = max(worst, float(np.max(np.abs(q @ dual.psi - q @ dual.psi[:, 0]))))
-    return worst
+    return max(
+        float(np.max(np.abs(p @ dual.xi - p @ dual.xi[:, 0]))),
+        float(np.max(np.abs(q @ dual.psi - q @ dual.psi[:, 0]))),
+    )

@@ -99,12 +99,10 @@ class TransportPlan:
     def col_sums(self) -> np.ndarray:
         return np.bincount(self.cols, weights=self.mass, minlength=self.shape[1])
 
-    def check_marginals(
-        self, p: np.ndarray, q: np.ndarray, tol: float = tolerance.MARGINAL_TOL
-    ) -> None:
-        if np.max(np.abs(self.row_sums() - p)) > tol:
+    def check_marginals(self, p: np.ndarray, q: np.ndarray) -> None:
+        if np.max(np.abs(self.row_sums() - p)) > tolerance.MARGINAL_TOL:
             raise ValueError("plan row sums do not match source weights")
-        if np.max(np.abs(self.col_sums() - q)) > tol:
+        if np.max(np.abs(self.col_sums() - q)) > tolerance.MARGINAL_TOL:
             raise ValueError("plan column sums do not match target weights")
 
     @property
@@ -294,13 +292,18 @@ def _staircase_row_min(y, z, psi, power, ii, jj):
 
 
 def _line_transform(v, a, b, power):
-    """min_j (|a_i - b_j|^power - v_j) for every i, on supports in any order."""
+    """min_j (|a_i - b_j|^power - v_j) for every i, on supports in any order;
+    as in the dense transforms, an empty b raises ValueError."""
     a, b = np.asarray(a, dtype=float).ravel(), np.asarray(b, dtype=float).ravel()
     v = np.asarray(v, dtype=float)
     if v.shape != b.shape:
         raise ValueError(f"potential has shape {v.shape}, the other side has {b.size} points")
     if power < 1.0:
         raise ValueError("power must be >= 1")
+    if b.size == 0:
+        raise ValueError("the other side has no points to minimize over")
+    if a.size == 0:
+        return np.empty(0)
     order_a = np.argsort(a, kind="stable")
     order_b = np.argsort(b, kind="stable")
     out = np.empty(a.size)

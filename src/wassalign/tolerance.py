@@ -34,8 +34,17 @@ def of(*data) -> float:
 
 def folded_size(largest_costs, penalties) -> float:
     """max_k (max_ij |c_ijk| + |R_k|), from largest_costs[k] = max_ij |c_ijk|:
-    the size of the folded costs c + R, an upper bound of max |c + R|."""
-    return float(np.max(np.asarray(largest_costs) + np.abs(penalties)))
+    the size of the folded costs c + R, an upper bound of max |c + R|.
+
+    Raises ValueError past half the largest double, judged on the halves so
+    that nothing overflows: below it every folded cost, per-entry value and
+    difference of two of them is finite.
+    """
+    largest_costs, penalties = np.asarray(largest_costs), np.abs(penalties)
+    half = float(np.max(largest_costs / 2 + penalties / 2))
+    if half > np.finfo(float).max / 4:
+        raise ValueError(f"folded costs of size 2 x {half:.6g} pass half the largest double")
+    return float(np.max(largest_costs + penalties))
 
 
 def argmin_set(values: np.ndarray, size: float) -> list:

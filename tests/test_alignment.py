@@ -419,6 +419,20 @@ def test_projected_1d_path_matches_tensor_path():
     assert feasibility_violation(d_lp, ct) <= 1e-8
 
 
+def _count_transforms(monkeypatch, names):
+    """Wrap the named transforms of `alignment`; returns the list of calls, by name."""
+    calls = []
+    for name in names:
+        transform = getattr(wassalign.alignment, name)
+
+        def counted(*args, _transform=transform, _name=name, **kwargs):
+            calls.append(_name)
+            return _transform(*args, **kwargs)
+
+        monkeypatch.setattr(wassalign.alignment, name, counted)
+    return calls
+
+
 def test_align_solves_each_entry_once(monkeypatch):
     rng = np.random.default_rng(16)
     mu = new_measure(rng.normal(size=(7, 2)))
@@ -434,8 +448,14 @@ def test_align_solves_each_entry_once(monkeypatch):
         return res
 
     monkeypatch.setattr(wassalign.alignment, "wasserstein", counted)
+    transforms = _count_transforms(monkeypatch, ("cbar_transform", "c_transform", "pairwise_cost"))
     report = align(mu, nu, fam, spec)
     assert len(calls) == len(fam)
+    # one cost matrix per solve, one more for the witness's cbar-transform,
+    # and no c-transform: the dual is the solves'
+    assert transforms.count("pairwise_cost") == len(fam) + 1
+    assert transforms.count("cbar_transform") == 1
+    assert transforms.count("c_transform") == 0
     k = report.theta_star
     C, res = calls[k]
     assert report.plan is res.plan
@@ -502,9 +522,10 @@ def test_entry_route_keeps_no_state(monkeypatch):
 
 
 def test_quantile_route_forms_no_cost_rows(monkeypatch):
-    # a line target: the per-entry solves, the canonical potentials and the
-    # witness check all run on the line, so no cost-matrix block is formed;
-    # the dense transforms and pairwise costs are cut off to show it
+    # a line target: the per-entry solves and the witness check all run on
+    # the line, so no cost-matrix block is formed; the dense transforms and
+    # pairwise costs are cut off to show it.  The dual is the solves': the
+    # witness's cbar-transform is the one transform align makes
     rng = np.random.default_rng(19)
     mu = new_measure(rng.normal(size=(40, 2)))
     nu = new_measure(rng.normal(size=(30, 1)))
@@ -521,6 +542,7 @@ def test_quantile_route_forms_no_cost_rows(monkeypatch):
 
     for name in ("pairwise_cost", "cbar_transform", "c_transform"):
         monkeypatch.setattr(wassalign.alignment, name, refuse)
+    transforms = _count_transforms(monkeypatch, ("cbar_transform_1d", "c_transform_1d"))
     solve, calls = wassalign.alignment.wasserstein_1d, []
 
     def counted(*args, **kwargs):
@@ -535,6 +557,67 @@ def test_quantile_route_forms_no_cost_rows(monkeypatch):
     assert len(calls) == len(fam)
     assert rep.plan is calls[rep.theta_star].plan
     assert rep.plan.mass.size == mu.size + nu.size - 1
+    assert transforms == ["cbar_transform_1d"]
+
+
+def _planted_tie(mu, nu, fam, spec):
+    """Entries 0 and 1 of fam, with penalties that put entry 0 a quarter of
+    the tie tolerance above entry 1: both are optimal, and the optimizer,
+    entry 0, is not the argmin of the per-entry values."""
+    entries = [FamilyEntry(e.label, e.matrix, e.offset) for e in fam.entries[:2]]
+    values = [align(mu, nu, TransformFamily((e,)), spec).value for e in entries]
+    top = max(values)  # the folded costs' size is at least this
+    penalties = (top - values[0] + tolerance.of(top) / 4, top - values[1])
+    return TransformFamily(tuple(
+        FamilyEntry(e.label, e.matrix, e.offset, r) for e, r in zip(entries, penalties)
+    ))
+
+
+@pytest.mark.parametrize(
+    "route", [random_affine_instance, _penalized_line_instance], ids=["transport-lp", "quantile"]
+)
+def test_the_optimizer_column_of_the_dual_is_its_solve(route):
+    # the dual's column at theta_star is the optimizer's own Kantorovich pair:
+    # psi as solved, and xi = phi + R_k less the entry's distance to the
+    # minimum, bit for bit, on penalized families and on a planted tie
+    rng = np.random.default_rng(25)
+    spec = CostSpec.squared_euclidean()
+    instances = [route(rng) for _ in range(4)]
+    mu, nu, fam = instances[0]
+    instances.append((mu, nu, _planted_tie(mu, nu, fam, spec)))
+    for mu, nu, fam in instances:
+        rep = align(mu, nu, fam, spec)
+        k = rep.theta_star
+        assert k == rep.k_star[0]
+        np.testing.assert_array_equal(rep.dual.psi[:, k], rep.potentials.psi)
+        xi = rep.potentials.phi + fam.penalties[k] - (rep.per_theta[k] - rep.value)
+        np.testing.assert_array_equal(rep.dual.xi[:, k], xi)
+        ct = build_cost_tensor(mu, nu, fam, spec)
+        assert feasibility_violation(rep.dual, ct) <= tolerance.of(ct.folded_size)
+        assert mean_consistency_violation(rep.dual, mu.weights, nu.weights) <= 1e-8
+    assert rep.k_star == [0, 1] and int(np.argmin(rep.per_theta)) == 1
+
+
+def test_folded_costs_past_half_the_largest_double_are_refused():
+    # a cost of 1e308 plus a penalty of 1.7e308, or penalties of +-1e308, fit
+    # a double each, but not their sums and differences: refused at once, by
+    # align and by the cost tensor of the cross-checks
+    spec = CostSpec.squared_euclidean()
+    nu = new_measure([(2.0, 0.0), (3.0, 0.0)])
+    for far, penalties in ((1e154, (1.7e308, 1.7e308)), (1.0, (1e308, -1e308))):
+        mu = new_measure([(0.0, 0.0), (far, 0.0)])
+        fam = TransformFamily(tuple(
+            FamilyEntry(f"id{k}", np.eye(2), np.zeros(2), r) for k, r in enumerate(penalties)
+        ))
+        with pytest.raises(ValueError, match="half the largest double"):
+            align(mu, nu, fam, spec)
+        with pytest.raises(ValueError, match="half the largest double"):
+            build_cost_tensor(mu, nu, fam, spec)
+    # at half the largest double the size is taken
+    half = np.finfo(float).max / 2
+    assert tolerance.folded_size([half / 2], [half / 2]) == half
+    with pytest.raises(ValueError, match="half the largest double"):
+        tolerance.folded_size([half], [half * 1e-15])
 
 
 def test_quantile_route_holds_no_dense_plan():

@@ -143,6 +143,8 @@ OVERFLOW_MESSAGES = {
     "ot": "non-finite cost",
     "align-plane-image": "map_0: non-finite image",
     "align-line-image": "map_0: non-finite image",
+    "align-penalty": "half the largest double",
+    "align-penalty-signs": "half the largest double",
 }
 
 
@@ -150,11 +152,20 @@ OVERFLOW_MESSAGES = {
 def test_overflowing_costs_are_one_error_line(tmp_path, capsys, command, message):
     # at 1e160 the squared distances overflow a double, and near 1e308 the
     # image x -> M x does: every route refuses the non-finite cost or image,
-    # and the CLI reports it as an input error with no numpy warning on the way
+    # and the CLI reports it as an input error with no numpy warning on the way.
+    # Finite costs and penalties whose sums or differences overflow (a cost
+    # of 1e308 and penalties of 1.7e308, or penalties of +-1e308) are refused too
     rng = np.random.default_rng(21)
     mu, nu, maps = tmp_path / "mu.csv", tmp_path / "nu.csv", tmp_path / "maps.csv"
+    penalties = tmp_path / "penalties.csv"
     target_dim = 1 if command.startswith("align-line") else 2
-    if command.endswith("-image"):
+    if command.startswith("align-penalty"):
+        signs = command.endswith("-signs")
+        write_cloud(mu, [(0.0, 0.0), (1.0 if signs else 1e154, 0.0)])
+        write_cloud(nu, [(2.0, 0.0), (3.0, 0.0)])
+        rows = [(1.0, 0.0, 0.0, 1.0)] * 2  # the identity, twice
+        write_cloud(penalties, [(1e308,), (-1e308,)] if signs else [(1.7e308,)] * 2)
+    elif command.endswith("-image"):
         write_cloud(mu, [(1e308, 1e308), (-1e308, 5e307), (0.0, 1.0)])
         write_cloud(nu, np.arange(3.0 * target_dim).reshape(3, target_dim))
         # x1 + x2 overflows on the first point, in a line map and in a plane map
@@ -174,6 +185,8 @@ def test_overflowing_costs_are_one_error_line(tmp_path, capsys, command, message
             "align", "--mu", str(mu), "--nu", str(nu),
             "--family", family, "--out", str(tmp_path / "r.json"),
         ]
+        if penalties.exists():
+            argv += ["--penalty", str(penalties)]
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         rc = main(argv)
